@@ -57,8 +57,7 @@ def _trace_lines(trace):
 def _analyze_record(text):
     m = canonicalize(parse(text))
     trace = katz_reduce(m)
-    cls = classify(m)
-    return m, trace, cls
+    return m, trace, classify(m, trace)
 
 
 def cmd_analyze(args, out, stdin):
@@ -130,7 +129,7 @@ def cmd_enumerate_rigid(args, out, stdin):
 
 
 def cmd_enumerate_basic(args, out, stdin):
-    report = enumerate_basic(args.index, jobs=args.threads)
+    report = enumerate_basic(args.index)
     return _report_out(report, args, out)
 
 
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate-basic", cmd_enumerate_basic, help="all basic classes of an index")
     p.add_argument("-p", "--index", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("counts", cmd_counts, help="count tables for rigid and basic classes")
     p.add_argument("--max-order", type=int, default=8)

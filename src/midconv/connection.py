@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .katz import Scheme, SchemeError, _sub_rows
+from .katz import Scheme, SchemeError, Terminal, _sub_rows, reduce_rows
 from .paramform import ParamForm
-from .rootlattice import RootClass, classify_root, root_of
 from .spectype import SpectralType
 
 
@@ -49,9 +48,6 @@ class RiemannScheme(Scheme):
     def generic(cls, shape: SpectralType, prefix: str = "l") -> "RiemannScheme":
         base = Scheme.generic(shape, prefix)
         return cls(shape, base.eigenvalues)
-
-    def satisfies_fuchs_relation(self) -> bool:
-        return fuchs_value(self) == ParamForm(0)
 
     def normalized(self, pin0: int | None = None, pin1: int | None = None):
         """Shift exponents so the pinned columns at the first two points
@@ -88,8 +84,8 @@ def fuchs_value(
 
 
 def _is_rigid_grid(grid) -> bool:
-    st = SpectralType(grid, trim=False)
-    return classify_root(root_of(st)) is RootClass.REAL_POSITIVE
+    """Rigidity of a column-aligned grid (zero entries allowed)."""
+    return reduce_rows(grid, sum(grid[0])).terminal is Terminal.ORDER_ONE
 
 
 def rigid_decompositions(

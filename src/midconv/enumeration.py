@@ -22,6 +22,7 @@ import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .katz import Terminal, reduce_rows
 from .spectype import SpectralType, to_text
 
 
@@ -59,39 +60,16 @@ def _excess(row: tuple[int, ...]) -> int:
 
 
 def _reduces_to_one(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Run the maximal reduction chain on monotone rows; True when it
-    reaches order one.  Rows stay monotone; trivial rows are dropped."""
-    rows = [list(r) for r in rows]
-    while True:
-        if n == 1:
-            return True
-        if not rows:
-            return False
-        d = sum(r[0] for r in rows) - (len(rows) - 2) * n
-        if d <= 0:
-            return False
-        n -= d
-        nxt = []
-        for r in rows:
-            first = r[0] - d
-            if first < 0:
-                return False
-            rest = r[1:]
-            if first:
-                at = len(rest)
-                while at and rest[at - 1] < first:
-                    at -= 1
-                rest.insert(at, first)
-            if rest and rest != [n]:
-                nxt.append(rest)
-        rows = nxt
+    """True when the maximal reduction chain of the rows reaches order one."""
+    return reduce_rows(rows, n).terminal is Terminal.ORDER_ONE
 
 
-def _multisets(parts, weights, total, extra_cap=None, extras=None):
+def _multisets(parts, weights, total, extra_cap=None, extras=None, first=None):
     """Non-decreasing index multisets with the prescribed total weight.
 
     ``extras``/``extra_cap`` optionally bound a second additive statistic
-    (used for the basic fixed-point condition).
+    (used for the basic fixed-point condition).  With ``first`` only the
+    multisets whose smallest index is ``first`` are generated.
     """
     size = len(parts)
     minw = [0] * (size + 1)
@@ -102,13 +80,13 @@ def _multisets(parts, weights, total, extra_cap=None, extras=None):
     results = []
     acc: list[int] = []
 
-    def rec(j0, remaining, budget):
+    def rec(j0, remaining, budget, stop=size):
         if remaining == 0:
             results.append(tuple(acc))
             return
         if j0 >= size or remaining < minw[j0]:
             return
-        for j in range(j0, size):
+        for j in range(j0, stop):
             w = weights[j]
             if w > remaining:
                 continue
@@ -125,7 +103,10 @@ def _multisets(parts, weights, total, extra_cap=None, extras=None):
             rec(j, rest, budget - e)
             acc.pop()
 
-    rec(0, total, extra_cap if extra_cap is not None else 0)
+    if first is None:
+        rec(0, total, extra_cap or 0)
+    else:
+        rec(first, total, extra_cap or 0, first + 1)
     return results
 
 
@@ -171,18 +152,11 @@ def _rigid_grids(n: int, first: int | None = None):
     parts = _nontrivial_partitions(n)
     weights = tuple(_weight(n, row) for row in parts)
     found = []
-    for combo in _multisets(parts, weights, 2 * n * n - 2):
-        if first is not None and combo[0] != first:
-            continue
+    for combo in _multisets(parts, weights, 2 * n * n - 2, first=first):
         rows = tuple(parts[j] for j in combo)
         if _reduces_to_one(rows, n):
             found.append(rows)
     return found
-
-
-def _rigid_chunk(args):
-    n, first = args
-    return _rigid_grids(n, first)
 
 
 def enumerate_rigid(
@@ -194,7 +168,7 @@ def enumerate_rigid(
     (at most n+1 partitions); rigidity is then the success of the reduction
     chain.  ``max_order`` guards the combinatorial blow-up; raise it for
     long-running jobs.  ``jobs`` > 1 splits the space by the first
-    partition across processes.
+    partition across processes, one first partition per task.
     """
     if n < 2:
         raise EnumerationError("order must be >= 2; order 1 has the single class 1")
@@ -206,14 +180,14 @@ def enumerate_rigid(
     if jobs > 1:
         firsts = range(len(_nontrivial_partitions(n)))
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_rigid_chunk, [(n, f) for f in firsts])
+            chunks = pool.starmap(_rigid_grids, [(n, f) for f in firsts], chunksize=1)
         grids = [rows for chunk in chunks for rows in chunk]
     else:
         grids = _rigid_grids(n)
     return _make_report("rigid", n, grids)
 
 
-def _basic_grids(p: int, n: int, first: int | None = None):
+def _basic_grids(p: int, n: int):
     parts = _nontrivial_partitions(n)
     usable = [
         (row, _weight(n, row), _excess(row))
@@ -229,20 +203,13 @@ def _basic_grids(p: int, n: int, first: int | None = None):
     for combo in _multisets(
         rows_, weights, 2 * n * n - p, extra_cap=-p, extras=excesses
     ):
-        if first is not None and combo[0] != first:
-            continue
         grid = tuple(rows_[j] for j in combo)
         if math.gcd(*(q for row in grid for q in row)) == 1:
             found.append(grid)
     return found
 
 
-def _basic_chunk(args):
-    p, n, first = args
-    return _basic_grids(p, n, first)
-
-
-def enumerate_basic(p: int, *, jobs: int = 1) -> EnumerationReport:
+def enumerate_basic(p: int) -> EnumerationReport:
     """All canonical basic classes of self-index p (p <= 0, even).
 
     Basicness of a monotone indivisible tuple with index p amounts to the
@@ -252,27 +219,15 @@ def enumerate_basic(p: int, *, jobs: int = 1) -> EnumerationReport:
     if p > 0 or p % 2:
         raise EnumerationError("index must be an even integer <= 0")
     grids = []
-    orders = range(2, 6 - 3 * p + 1)
-    if jobs > 1:
-        tasks = [
-            (p, n, f)
-            for n in orders
-            for f in range(len(_nontrivial_partitions(n)))
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_basic_chunk, tasks)
-        for chunk in chunks:
-            grids.extend(chunk)
-    else:
-        for n in orders:
-            grids.extend(_basic_grids(p, n))
+    for n in range(2, 6 - 3 * p + 1):
+        grids.extend(_basic_grids(p, n))
     return _make_report("basic", p, grids)
 
 
 def count_table(max_n: int, max_p: int, *, jobs: int = 1) -> dict:
     """Aggregated counts: rigid classes by order (total and triples) for
     2 <= n <= max_n, and basic classes by even index down to max_p (total,
-    triples and 4-tuples)."""
+    triples and 4-tuples).  ``jobs`` applies to the rigid half only."""
     rigid_rows = []
     for n in range(2, max_n + 1):
         rep = enumerate_rigid(n, max_order=max(max_n, 14), jobs=jobs)
@@ -280,7 +235,7 @@ def count_table(max_n: int, max_p: int, *, jobs: int = 1) -> dict:
     basic_rows = []
     p = 0
     while p >= max_p:
-        rep = enumerate_basic(p, jobs=jobs)
+        rep = enumerate_basic(p)
         basic_rows.append((p, rep.total, rep.count(3), rep.count(4)))
         p -= 2
     return {"rigid": rigid_rows, "basic": basic_rows}

@@ -17,15 +17,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .paramform import ParamForm
-from .rootlattice import classify_root, root_of
 from .spectype import (
+    InvariantError,
     SpectralType,
     SpectralTypeError,
     canonicalize,
-    divide,
     gcd_of,
     idx,
     pidx,
@@ -92,17 +91,89 @@ def partial_ell(m: SpectralType, ells: Sequence[int]) -> SpectralType:
     return canonicalize(partial_ell_raw(m, ells))
 
 
-def _pmax_marks(m: SpectralType) -> tuple[int, ...]:
-    """First maximal column of every partition."""
-    return tuple(row.index(max(row)) + 1 for row in m.partitions)
+class Terminal(enum.Enum):
+    """Where the maximal reduction of integer rows stops."""
+
+    ORDER_ONE = "order one"
+    FIXED_POINT = "fixed point"
+    VIOLATION = "violation"
 
 
-def dmax_value(m: SpectralType) -> int:
-    """Defect of the maximal-column marking: sum of the partition maxima
-    minus (k-1) times the order.  Nonpositive exactly on reduction fixed
-    points."""
-    k = m.npart - 1
-    return sum(max(row) for row in m.partitions) - (k - 1) * m.order
+def max_step(rows, order: int, eigenvalues=None):
+    """One maximal reduction step on integer rows, columns kept in place.
+
+    Marks the first maximal column of every row; the defect is d = (sum of
+    the marks) - (rows - 2) * order.  Order one, d <= 0 (fixed point) and
+    a mark below d (violation) are terminals; otherwise every mark drops by
+    d and a column reaching zero is dropped.  An eigenvalue table (one per
+    column) follows the middle convolution at mu_j = the marked values: a
+    mark becomes -mu_j, any other value l at row j becomes
+    l + sum(mu) - 2*mu_j.  Returns (terminal, 0-based marks, d, rows,
+    table): terminal None and the reduced rows and table (as lists) when
+    the step was taken, else the terminal and the inputs.
+    """
+    marks = []
+    top = 0
+    low = order
+    for r in rows:
+        peak = max(r)
+        marks.append(r.index(peak))
+        top += peak
+        if peak < low:
+            low = peak
+    d = top - (len(rows) - 2) * order
+    if order == 1:
+        return Terminal.ORDER_ONE, marks, d, rows, eigenvalues
+    if d <= 0:
+        return Terminal.FIXED_POINT, marks, d, rows, eigenvalues
+    if low < d:
+        return Terminal.VIOLATION, marks, d, rows, eigenvalues
+    out = []
+    for r, e in zip(rows, marks):
+        r = list(r)
+        if r[e] == d:
+            del r[e]
+        else:
+            r[e] -= d
+        out.append(r)
+    if eigenvalues is None:
+        return None, marks, d, out, None
+    mus = [lam[e] for lam, e in zip(eigenvalues, marks)]
+    total = sum(mus)
+    table = []
+    for r, lam, e, mu in zip(rows, eigenvalues, marks, mus):
+        lam = [l + total - 2 * mu for l in lam]
+        if r[e] == d:
+            del lam[e]
+        else:
+            lam[e] = -mu
+        table.append(lam)
+    return None, marks, d, out, table
+
+
+class Reduction(NamedTuple):
+    """The terminal, the rows and table it stopped at, and one (order,
+    marks, eigenvalues) record per step taken."""
+
+    terminal: Terminal
+    rows: list
+    eigenvalues: list | None
+    steps: list
+
+
+def reduce_rows(rows, order: int, eigenvalues=None) -> Reduction:
+    """Iterate :func:`max_step` to a terminal.  Rows may be unsorted and
+    may hold zeros (never marked) and trivial rows.  On the lattice vector
+    of the rows, order one is a real positive root, a fixed point an
+    imaginary positive root, a violation no root.
+    """
+    steps = []
+    while True:
+        terminal, marks, d, nxt, table = max_step(rows, order, eigenvalues)
+        if terminal is not None:
+            return Reduction(terminal, rows, eigenvalues, steps)
+        steps.append((order, marks, eigenvalues))
+        rows, order, eigenvalues = nxt, order - d, table
 
 
 def partial_max(m: SpectralType) -> tuple[tuple[int, ...], SpectralType]:
@@ -112,12 +183,20 @@ def partial_max(m: SpectralType) -> tuple[tuple[int, ...], SpectralType]:
     terminal and returned unchanged, as is any input whose defect is
     nonpositive (a fixed point; the order would not decrease).
     """
-    ells = _pmax_marks(m)
-    if m.order == 1:
-        return ells, m
-    if d_ell(m, ells) <= 0:
-        return ells, m
-    return ells, partial_ell(m, ells)
+    terminal, marks, _, rows, _ = max_step(m.partitions, m.order)
+    ells = tuple(e + 1 for e in marks)
+    if terminal is Terminal.VIOLATION:
+        return ells, partial_ell(m, ells)  # raises WellDefinednessViolation
+    if terminal is None:
+        return ells, canonicalize(SpectralType(rows, trim=False))
+    return ells, m
+
+
+def dmax_value(m: SpectralType) -> int:
+    """Defect of the maximal-column marking: sum of the partition maxima
+    minus (k-1) times the order.  Nonpositive exactly on reduction fixed
+    points."""
+    return max_step(m.partitions, m.order)[2]
 
 
 class Verdict(enum.Enum):
@@ -160,6 +239,18 @@ class ReductionTrace:
         }
 
 
+def _verdict(terminal: Terminal, rows) -> Verdict:
+    """Realizability verdict of a reduction terminal: a fixed point is
+    realizable when it is indivisible or has negative self-index."""
+    if terminal is Terminal.ORDER_ONE:
+        return Verdict.RIGID
+    if terminal is Terminal.FIXED_POINT:
+        fixed = SpectralType(rows, trim=False)
+        if gcd_of(fixed) == 1 or idx(fixed) < 0:
+            return Verdict.REALIZABLE_NOT_RIGID
+    return Verdict.NOT_REALIZABLE
+
+
 def reduce(m: SpectralType) -> ReductionTrace:
     """Iterate the canonicalized maximal reduction until a terminal.
 
@@ -172,28 +263,17 @@ def reduce(m: SpectralType) -> ReductionTrace:
     steps: list[ReductionStep] = []
     cur = canonicalize(m)
     while True:
-        if cur.order == 1:
-            verdict = Verdict.RIGID
-            break
-        ells = _pmax_marks(cur)
-        d = d_ell(cur, ells)
-        if d <= 0:
-            steps.append(ReductionStep(cur, ells, d, cur, cur))
-            if gcd_of(cur) == 1 or idx(cur) < 0:
-                verdict = Verdict.REALIZABLE_NOT_RIGID
-            else:
-                verdict = Verdict.NOT_REALIZABLE
-            break
-        try:
-            raw = partial_ell_raw(cur, ells)
-        except WellDefinednessViolation:
-            steps.append(ReductionStep(cur, ells, d, None, None))
-            verdict = Verdict.NOT_REALIZABLE
-            break
-        nxt = canonicalize(raw)
-        steps.append(ReductionStep(cur, ells, d, raw, nxt))
-        cur = nxt
-    return ReductionTrace(tuple(steps), verdict, cur)
+        terminal, marks, d, rows, _ = max_step(cur.partitions, cur.order)
+        ells = tuple(e + 1 for e in marks)
+        if terminal is None:
+            raw = SpectralType(rows, trim=False)
+            steps.append(ReductionStep(cur, ells, d, raw, canonicalize(raw)))
+            cur = steps[-1].out
+            continue
+        if terminal is not Terminal.ORDER_ONE:
+            out = cur if terminal is Terminal.FIXED_POINT else None
+            steps.append(ReductionStep(cur, ells, d, out, out))
+        return ReductionTrace(tuple(steps), _verdict(terminal, rows), cur)
 
 
 @dataclass(frozen=True)
@@ -214,29 +294,31 @@ class Classification:
         }
 
 
-def classify(m: SpectralType) -> Classification:
+def classify(
+    m: SpectralType, trace: ReductionTrace | None = None
+) -> Classification:
     """Realizability record of a spectral type.
 
     A divisible tuple c*b is irreducibly realizable exactly when its
     indivisible core b is and the self-index is negative; it is fundamental
-    exactly when the core is basic with negative self-index.
+    exactly when the core is basic with negative self-index.  A caller that
+    already holds ``reduce(m)`` passes it as ``trace`` and saves the
+    reduction.
     """
     c = canonicalize(m)
     g = gcd_of(c)
-    trace = reduce(c)
-    irr = trace.verdict is not Verdict.NOT_REALIZABLE
-    basic = g == 1 and dmax_value(c) <= 0
-    if g == 1:
-        fundamental = basic
+    if trace is None:
+        red = reduce_rows(c.partitions, c.order)
+        verdict = _verdict(red.terminal, red.rows)
     else:
-        core = canonicalize(divide(c, g))
-        fundamental = dmax_value(core) <= 0 and idx(core) < 0
+        verdict = trace.verdict
+    at_fixed_point = dmax_value(c) <= 0
     return Classification(
         indivisible=g == 1,
-        rigid=trace.verdict is Verdict.RIGID,
-        irreducibly_realizable=irr,
-        basic=basic,
-        fundamental=fundamental,
+        rigid=verdict is Verdict.RIGID,
+        irreducibly_realizable=verdict is not Verdict.NOT_REALIZABLE,
+        basic=g == 1 and at_fixed_point,
+        fundamental=at_fixed_point and (g == 1 or idx(c) < 0),
     )
 
 
@@ -278,7 +360,8 @@ def reflect_by_rigid(
             )
         rows.append(tuple(x for x in row if x) or (0,))
     out = SpectralType(rows, trim=False)
-    assert idx(out) == idx(m)
+    if idx(out) != idx(m):
+        raise InvariantError("reflection by %s changed the index of %s" % (mr, m))
     return out
 
 
@@ -504,13 +587,13 @@ def ds_existence(s: Scheme, *, bound: int = 12) -> bool:
     trace = s.trace_form().const
     if trace != 0:
         raise SchemeError("trace condition violated: sum is %s" % trace)
-    if not classify_root(root_of(m)).is_positive:
+    if reduce_rows(m.partitions, m.order).terminal is Terminal.VIOLATION:
         return False
     lam = s.constant_table()
     candidates = []
     for grid in _zero_sum_parts(m, lam):
         st = SpectralType(grid, trim=False)
-        if classify_root(root_of(st)).is_positive:
+        if reduce_rows(grid, st.order).terminal is not Terminal.VIOLATION:
             candidates.append((grid, pidx(st)))
     candidates.sort()
     target = pidx(m)

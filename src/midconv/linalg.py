@@ -52,10 +52,6 @@ class RationalMatrix:
     def zeros(cls, r: int, c: int) -> "RationalMatrix":
         return cls(tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r)))
 
-    @classmethod
-    def from_json(cls, data) -> "RationalMatrix":
-        return cls(data)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -125,12 +121,6 @@ class RationalMatrix:
                 for row in self.rows
             )
         )
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        return tuple(sum(a * _frac(b) for a, b in zip(row, vec)) for row in self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -254,26 +244,3 @@ def vstack(mats: Sequence[RationalMatrix]) -> RationalMatrix:
 
 def from_columns(cols: Sequence[Sequence]) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*cols)))
-
-
-def independent_columns(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Leftmost maximal independent subset (pivot columns of one rref)."""
-    vs = [tuple(_frac(x) for x in v) for v in vectors]
-    if not vs:
-        return []
-    _, pivots = from_columns(vs).rref()
-    return [vs[p] for p in pivots]
-
-
-def extend_basis(vectors: Sequence[Sequence], dim: int) -> list[tuple[Fraction, ...]]:
-    """Complete the leftmost independent subset of ``vectors`` to a basis of
-    the dim-dimensional coordinate space with standard basis vectors."""
-    vs = [tuple(_frac(x) for x in v) for v in vectors]
-    std = [
-        tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim)
-    ]
-    _, pivots = from_columns(vs + std).rref()
-    if len(pivots) != dim:
-        raise LinAlgError("could not complete basis")
-    pool = vs + std
-    return [pool[p] for p in pivots]

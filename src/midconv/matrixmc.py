@@ -18,17 +18,9 @@ from typing import Sequence
 
 import sympy
 
-from .katz import Scheme, Verdict, reduce as katz_reduce
-from .linalg import (
-    LinAlgError,
-    RationalMatrix,
-    extend_basis,
-    from_columns,
-    hstack,
-    independent_columns,
-    vstack,
-)
-from .spectype import SpectralType
+from .katz import Scheme, Terminal, reduce_rows
+from .linalg import LinAlgError, RationalMatrix, hstack, vstack
+from .spectype import InvariantError, SpectralType
 
 
 class IrrationalEigenvalueError(ValueError):
@@ -167,9 +159,6 @@ class SpectralData:
 
     def eigenvalues(self) -> tuple[Fraction, ...]:
         return tuple(e for e, _ in self.entries)
-
-    def partition_for(self, eig) -> tuple[int, ...]:
-        return dict(self.entries).get(Fraction(eig), ())
 
     def to_json(self) -> list:
         return [[str(e), list(p)] for e, p in self.entries]
@@ -361,21 +350,42 @@ def check_mc_assumptions(at: MatrixTuple, mu: Sequence) -> McReport:
 
 
 def _quotient_tuple(mats, space, size) -> list[RationalMatrix]:
-    """Action induced on the quotient by an invariant column-span."""
-    base = independent_columns(space)
-    r = len(base)
+    """Action induced on the quotient by an invariant column-span.
+
+    The spanning vectors are brought to reduced echelon form with their
+    pivots P on the last coordinates; the standard vectors at the other
+    coordinates N complete them to a basis.  Row a of C holds the N
+    coordinates of the echelon vector with pivot P[a], so that e_P[a] is
+    congruent to -C[a] modulo the span, and the quotient block reads
+    Q = G[N,N] - C^T G[P,N].  An empty span leaves the matrices unchanged.
+    """
+    if not space:
+        return list(mats)
+    red, pivots = RationalMatrix([tuple(v)[::-1] for v in space]).rref()
+    r = len(pivots)
     if r == size:
         raise LinAlgError("middle convolution collapses to dimension zero")
-    full = extend_basis(base, size)
-    p = from_columns(full)
-    pinv = p.inverse()
+    basis = [row[::-1] for row in red.rows[:r]]
+    pivot_at = [size - 1 - c for c in pivots]
+    free = sorted(set(range(size)) - set(pivot_at))
+    cs = [[w[i] for i in free] for w in basis]
+
+    def residual(v):
+        """Coordinates of v modulo the span, in the basis e_N."""
+        out = [v[i] for i in free]
+        for p, c in zip(pivot_at, cs):
+            if v[p]:
+                out = [u - v[p] * x for u, x in zip(out, c)]
+        return out
+
     out = []
     for g in mats:
-        t = pinv @ g @ p
-        for i in range(r, size):
-            for j in range(r):
-                assert t.rows[i][j] == 0, "subspace is not invariant"
-        out.append(RationalMatrix(tuple(row[r:] for row in t.rows[r:])))
+        for w in basis:
+            image = [sum(x * y for x, y in zip(row, w) if y) for row in g.rows]
+            if any(residual(image)):
+                raise InvariantError("subspace is not invariant")
+        cols = tuple(zip(*g.rows))
+        out.append(RationalMatrix(zip(*(residual(cols[j]) for j in free))))
     return out
 
 
@@ -410,9 +420,10 @@ def middle_convolution(
             blockwise.append(tuple(embedded))
     zeroth = conv.matrices[0].nullspace()
     space = blockwise + zeroth
-    if total != 0 and space:
-        # the two kernels can only meet at a vanishing parameter total
-        assert len(independent_columns(space)) == len(blockwise) + len(zeroth)
+    if total != 0 and space and RationalMatrix(space).rank() < len(space):
+        raise InvariantError(
+            "blockwise kernels meet the zeroth kernel at a nonzero total"
+        )
     reduced = _quotient_tuple(conv.matrices, space, k * n)
     return addition(MatrixTuple(reduced), shifts)
 
@@ -433,47 +444,28 @@ def scheme_of(at: MatrixTuple) -> Scheme:
 
 
 def _replay_forward(shape: SpectralType, table):
-    """Run the maximal reduction on (multiplicities, eigenvalues) jointly,
-    collecting the middle-convolution parameters of every step."""
-    rows = [list(r) for r in shape.partitions]
-    lams = [list(r) for r in table]
+    """Run the maximal reduction of a rigid shape on (multiplicities,
+    eigenvalues) jointly, collecting the middle-convolution parameters of
+    every step."""
+    red = reduce_rows(shape.partitions, shape.order, table)
     chain = []
     orders = []
-    order = shape.order
-    while order > 1:
-        for row, lam in zip(rows, lams):
+    for order, marks, lams in red.steps:
+        for lam in lams:
             if len(set(lam)) != len(lam):
                 raise DegenerateSchemeError(
                     "coinciding eigenvalues within one point: %s" % (lam,)
                 )
-        ells = [row.index(max(row)) for row in rows]
-        d = sum(row[e] for row, e in zip(rows, ells)) - (len(rows) - 2) * order
-        if d <= 0 or any(row[e] < d for row, e in zip(rows, ells)):
-            raise DegenerateSchemeError("shape is not rigid")
-        mu = tuple(lam[e] for lam, e in zip(lams, ells))
-        total = sum(mu)
-        if total == 0:
+        mu = tuple(lam[e] for lam, e in zip(lams, marks))
+        if sum(mu) == 0:
             raise DegenerateSchemeError(
                 "parameter total vanishes at order %d" % order
             )
         chain.append(mu)
         orders.append(order)
-        order -= d
-        for j, (row, lam, e) in enumerate(zip(rows, lams, ells)):
-            new_row = []
-            new_lam = []
-            for v, (p, l) in enumerate(zip(row, lam)):
-                if v == e:
-                    p = p - d
-                    l = -mu[j]
-                else:
-                    l = l + total - 2 * mu[j]
-                if p:
-                    new_row.append(p)
-                    new_lam.append(l)
-            rows[j] = new_row
-            lams[j] = new_lam
-    return chain, orders, [lam[0] for lam in lams]
+    # at order one every row holds a single 1 among zeros
+    scalars = [lam[r.index(1)] for r, lam in zip(red.rows, red.eigenvalues)]
+    return chain, orders, scalars
 
 
 def construct_rigid(scheme: Scheme) -> MatrixTuple:
@@ -486,7 +478,8 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
     resample and retry in that case.
     """
     shape = scheme.shape
-    if katz_reduce(shape).verdict is not Verdict.RIGID:
+    red = reduce_rows(shape.partitions, shape.order)
+    if red.terminal is not Terminal.ORDER_ONE:
         raise DegenerateSchemeError("shape %s is not rigid" % shape)
     if not scheme.is_constant():
         raise DegenerateSchemeError("need constant rational eigenvalues")
@@ -500,7 +493,7 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
         raise DegenerateSchemeError("trace condition violated: %s" % trace)
     chain, orders, scalars = _replay_forward(shape, table)
     if sum(scalars) != 0:
-        raise AssertionError("scalar terminal does not sum to zero")
+        raise InvariantError("scalar terminal does not sum to zero")
     at = MatrixTuple([RationalMatrix([[s]]) for s in scalars])
     for mu, order in zip(reversed(chain), reversed(orders)):
         try:

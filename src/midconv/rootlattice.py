@@ -26,6 +26,10 @@ class RootLatticeError(ValueError):
     """Invalid root-lattice data (e.g. coefficients with no preimage)."""
 
 
+class StepBudgetError(RuntimeError):
+    """The reflection walk ran out of its step budget before deciding."""
+
+
 Index = "int | tuple[int, int]"  # 0 for the central node, (j, v) for leg nodes
 
 
@@ -127,10 +131,6 @@ class RootClass(enum.Enum):
     @property
     def is_root(self) -> bool:
         return self is not RootClass.NOT_A_ROOT
-
-    @property
-    def is_positive(self) -> bool:
-        return self in (RootClass.REAL_POSITIVE, RootClass.IMAGINARY_POSITIVE)
 
 
 def root_of(m: SpectralType) -> RootVector:
@@ -243,7 +243,8 @@ def classify_root(a: RootVector, *, max_steps: int | None = None) -> RootClass:
     root; a reflection that turns a coefficient negative disproves
     root-ness; when no reflection decreases the height the vector is an
     imaginary root exactly if its support is connected.  The step budget
-    defaults to ten times the height and is unreachable for genuine roots.
+    defaults to ten times the height and is unreachable for genuine roots;
+    running out of it raises :class:`StepBudgetError`.
     """
     if a.is_zero():
         return RootClass.NOT_A_ROOT
@@ -280,7 +281,7 @@ def classify_root(a: RootVector, *, max_steps: int | None = None) -> RootClass:
                 if _connected(support)
                 else RootClass.NOT_A_ROOT
             )
-    return RootClass.NOT_A_ROOT
+    raise StepBudgetError("no verdict within %d reflections" % budget)
 
 
 def star_norm(ells: Sequence[int]) -> Fraction:

@@ -21,6 +21,11 @@ class SpectralTypeError(ValueError):
     """Malformed spectral-type data or text."""
 
 
+class InvariantError(RuntimeError):
+    """A result breaks an invariant that holds for valid input (an error
+    rather than an ``assert``, so that ``python -O`` keeps the check)."""
+
+
 def _as_rows(partitions: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     rows = tuple(tuple(int(p) for p in row) for row in partitions)
     if not rows:

@@ -164,10 +164,6 @@ def test_basic_validation():
         enumerate_basic(-3)
 
 
-def test_basic_threads_match():
-    assert enumerate_basic(-2, jobs=2) == enumerate_basic(-2)
-
-
 def test_count_table():
     table = count_table(4, -2)
     assert table["rigid"] == [(2, 1, 1), (3, 1, 2), (4, 3, 6)]
