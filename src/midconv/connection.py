@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .katz import Scheme, SchemeError, Terminal, _sub_rows, reduce_rows
 from .paramform import ParamForm
 from .spectype import SpectralType
@@ -227,6 +225,8 @@ def evaluate(formula: GammaFormula, assignment=None) -> float:
 
 def _series_sum(alphas, betas_low, x: float, terms: int) -> tuple[float, float]:
     """Partial sum of the hypergeometric series and its last term."""
+    import numpy as np
+
     total = 1.0
     t = 1.0
     start = 0
@@ -296,12 +296,12 @@ def series_limit_oracle(
         values.append(eps ** bt * total)
     exps = sorted({round(bt + i, 12) for i in range(5)} | {1.0, 2.0, 3.0, 4.0})
     exps = [e for e in exps if e > 0][:4]
-    v = np.array(values, dtype=np.float64)
+    v = values
     for e in exps:
         rho = 2.0 ** (-e)
-        v = (v[1:] - rho * v[:-1]) / (1.0 - rho)
-    est = float(v[-1])
-    err = abs(float(v[-1] - v[-2])) if len(v) > 1 else 0.0
+        v = [(b - rho * a) / (1.0 - rho) for a, b in zip(v, v[1:])]
+    est = v[-1]
+    err = abs(v[-1] - v[-2]) if len(v) > 1 else 0.0
     if err > 100 * tol * max(1.0, abs(est)):
         raise OracleError("extrapolation residual %.3g too large" % err)
     return est

@@ -48,10 +48,6 @@ class RationalMatrix:
             )
         )
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -240,7 +236,3 @@ def vstack(mats: Sequence[RationalMatrix]) -> RationalMatrix:
     if any(m.ncols != cols for m in mats):
         raise LinAlgError("vstack needs equal column counts")
     return RationalMatrix(tuple(row for m in mats for row in m.rows))
-
-
-def from_columns(cols: Sequence[Sequence]) -> RationalMatrix:
-    return RationalMatrix(tuple(zip(*cols)))

@@ -12,11 +12,10 @@ data when the parameter total is nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import sympy
 
 from .katz import Scheme, Terminal, reduce_rows
 from .linalg import LinAlgError, RationalMatrix, hstack, vstack
@@ -125,24 +124,88 @@ def jordan_cell(size: int, eig) -> RationalMatrix:
     return normal_form([1] * size, [eig] * size)
 
 
+def _rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
+    """Rational roots with multiplicities of a nonzero polynomial (highest
+    degree first), in integers only, by p-adic lifting after R. Loos,
+    "Computing rational zeros of integral polynomials by p-adic expansion",
+    SIAM J. Comput. 12 (1983).  A root a/b of the squarefree part g has
+    b | lc(g) and a | g(0): it is a simple root of g mod p, and its lift mod
+    M > 2|g(0) lc(g)| gives it back by rational reconstruction."""
+
+    def prim(h):  # primitive part with positive leading coefficient
+        c = math.gcd(*h)
+        return [x // (c if h[0] > 0 else -c) for x in h]
+
+    def divide(h, d):  # exact quotient in Z[x], or None
+        h, q = list(h), []
+        for i in range(len(h) - len(d) + 1):
+            c, rem = divmod(h[i], d[0])
+            if rem:
+                return None
+            q.append(c)
+            for j in range(1, len(d)):
+                h[i + j] -= c * d[j]
+        return None if any(h[len(q):]) else q
+
+    def value(h, x, m):
+        v = 0
+        for c in h:
+            v = (v * x + c) % m
+        return v
+
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    f = prim([int(c * scale) for c in coeffs])
+    roots = {}
+    while f[-1] == 0:
+        f.pop()
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    if len(f) == 1:
+        return roots
+    # squarefree part g = f / gcd(f, f') by a primitive remainder sequence
+    a, b = f, prim([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])
+    while len(b) > 1:
+        r = a
+        while r and len(r) >= len(b):
+            r = [b[0] * x - r[0] * y for x, y in zip(r, b + [0] * len(r))][1:]
+            while r and r[0] == 0:
+                r = r[1:]
+        if not r:
+            break
+        a, b = b, prim(r)
+    g = divide(f, b)
+    dg = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
+    lc, g0 = abs(g[0]), abs(g[-1])
+    p = 2
+    while lc % p == 0 or any(p % q == 0 for q in range(2, p)) or any(
+        value(g, r, p) == 0 == value(dg, r, p) for r in range(p)
+    ):
+        p += 1
+    for r in [r for r in range(p) if value(g, r, p) == 0]:
+        m = p
+        while m <= 2 * g0 * lc:
+            m *= m
+            r = (r - value(g, r, m) * pow(value(dg, r, m), -1, m)) % m
+        # rational reconstruction: the first remainder r1 <= |g(0)|
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > g0:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        k = math.gcd(r1, t1) if t1 > 0 else -math.gcd(r1, t1)
+        # deflating by (den x - num) is the Horner scheme at num/den: exact
+        # division confirms the root and counts its multiplicity in f
+        mult = 0
+        while (q := divide(f, [t1 // k, -r1 // k])) is not None:
+            f, mult = q, mult + 1
+        if mult:
+            roots[Fraction(r1 // k, t1 // k)] = mult
+    return roots
+
+
 def rational_eigenvalues(a: RationalMatrix) -> dict[Fraction, int]:
     """Eigenvalues with algebraic multiplicities; the characteristic
     polynomial must split over the rationals."""
-    coeffs = a.charpoly()
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        sum(sympy.Rational(c.numerator, c.denominator) * x ** (len(coeffs) - 1 - i)
-            for i, c in enumerate(coeffs)),
-        x,
-    )
-    roots = poly.ground_roots()
-    found = {}
-    total = 0
-    for root, mult in roots.items():
-        r = Fraction(int(sympy.numer(root)), int(sympy.denom(root)))
-        found[r] = int(mult)
-        total += int(mult)
-    if total != a.nrows:
+    found = _rational_roots(a.charpoly())
+    if sum(found.values()) != a.nrows:
         raise IrrationalEigenvalueError(
             "characteristic polynomial does not split over the rationals"
         )
@@ -541,8 +604,11 @@ def construct_rigid_random(
 ) -> tuple[Scheme, MatrixTuple]:
     """Sample generic schemes on a rigid shape until construction succeeds.
 
-    Smaller ``num_range`` keeps the exact arithmetic light downstream.
+    Smaller ``num_range`` keeps the exact arithmetic light downstream.  A
+    shape that is not rigid raises before any draw.
     """
+    if reduce_rows(shape.partitions, shape.order).terminal is not Terminal.ORDER_ONE:
+        raise DegenerateSchemeError("shape %s is not rigid" % shape)
     last: Exception | None = None
     for _ in range(retries):
         scheme = random_scheme(shape, rng, num_range=num_range)

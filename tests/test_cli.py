@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import midconv
 from midconv.cli import main
 from midconv.spectype import canonicalize, parse
 
@@ -31,8 +36,6 @@ def validate(instance, schema_id):
 
 
 def run(capsys, *argv, stdin=""):
-    import sys
-
     old = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
@@ -164,3 +167,34 @@ def test_root_vector_schema_standalone():
     from midconv.rootlattice import root_of
 
     validate(root_of(parse("11,11,11")).to_json(), "urn:midconv:root_vector")
+
+
+COLD_IMPORT = """
+import math
+import sys
+
+import midconv, midconv.cli
+
+loaded = sorted({"sympy", "numpy"} & set(sys.modules))
+if loaded:
+    sys.exit("loaded on import: %s" % loaded)
+from midconv.connection import series_limit_oracle
+
+got = series_limit_oracle((0.5, 0.25), (0.5, 0.25))
+if abs(got - 1.0) > 1e-9:
+    sys.exit("oracle gave %r" % got)
+print("ok")
+"""
+
+
+def test_cold_import_loads_neither_sympy_nor_numpy():
+    src = str(Path(midconv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from midconv.katz import Scheme
-from midconv.linalg import RationalMatrix, from_columns
+from midconv.linalg import RationalMatrix
 from midconv.matrixmc import (
     DegenerateSchemeError,
     IrrationalEigenvalueError,
@@ -75,6 +75,56 @@ def test_rational_eigenvalues():
     rotation = RationalMatrix([[0, -1], [1, 0]])
     with pytest.raises(IrrationalEigenvalueError):
         rational_eigenvalues(rotation)
+
+
+def _companion(roots, quadratics=()):
+    """Companion matrix of prod (x - r) times the monic quadratics
+    x^2 + b x + c given as (b, c)."""
+    coeffs = [Fraction(1)]
+    factors = [(-r,) for r in roots] + [tuple(q) for q in quadratics]
+    for f in factors:
+        f = (Fraction(1),) + tuple(Fraction(x) for x in f)
+        prod = [Fraction(0)] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        coeffs = prod
+    n = len(coeffs) - 1
+    return RationalMatrix(
+        [[Fraction(int(i == j + 1)) for j in range(n - 1)] + [-coeffs[n - i]]
+         for i in range(n)]
+    )
+
+
+def test_rational_eigenvalues_random_products():
+    rng = random.Random(2024)
+    for _ in range(150):
+        want = {}
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.15:
+                root = Fraction(0)
+            else:
+                root = Fraction(rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, 97))
+            want[root] = want.get(root, 0) + rng.randint(1, 3)
+        roots = [r for r, m in want.items() for _ in range(m)]
+        rng.shuffle(roots)
+        assert rational_eigenvalues(_companion(roots)) == want
+
+
+def test_rational_eigenvalues_irreducible_quadratics():
+    rng = random.Random(2025)
+    squares = {k * k for k in range(100)}
+    done = 0
+    while done < 60:
+        roots = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                 for _ in range(rng.randint(0, 3))]
+        b, c = rng.randint(-9, 9), rng.randint(-40, 40)
+        if c in squares or b * b - 4 * c in squares:
+            continue
+        for quadratic in ((0, -c), (b, c)):  # x^2 - c and x^2 + b x + c
+            with pytest.raises(IrrationalEigenvalueError):
+                rational_eigenvalues(_companion(roots, [quadratic]))
+        done += 1
 
 
 def test_spectral_data_jordan_structure():
@@ -274,6 +324,16 @@ def test_construct_rigid_rejects_non_rigid():
     rng = random.Random(47)
     with pytest.raises(DegenerateSchemeError):
         construct_rigid_random(parse("211,211,1111"), rng, retries=2)
+
+
+def test_construct_rigid_random_checks_shape_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DegenerateSchemeError) as exc:
+        construct_rigid_random(parse("2211,2211,111111"), rng)
+    assert str(exc.value) == "shape 2211,2211,111111 is not rigid"
+    assert "tries" not in str(exc.value)
+    assert rng.getstate() == state
 
 
 def test_scheme_of_roundtrip():
