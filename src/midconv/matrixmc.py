@@ -47,7 +47,9 @@ class DegenerateSchemeError(ValueError):
 class MatrixTuple:
     """Square rational matrices (A_0,...,A_k) of equal size with zero sum."""
 
-    __slots__ = ("matrices",)
+    # _facts: spectral data and joint centralizer dimension, written once by
+    # the routine that proves or computes them and read after that
+    __slots__ = ("matrices", "_facts")
 
     def __init__(self, matrices: Sequence[RationalMatrix]):
         mats = tuple(
@@ -65,6 +67,7 @@ class MatrixTuple:
         if not total.is_zero():
             raise LinAlgError("matrices must sum to zero")
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixTuple is immutable")
@@ -227,23 +230,27 @@ class SpectralData:
         return [[str(e), list(p)] for e, p in self.entries]
 
 
+def _filtration(a: RationalMatrix, eig, mult: int) -> tuple[int, ...]:
+    """rank (A-e)^{t-1} - rank (A-e)^t for t = 1, 2, ... until the kernel
+    reaches ``mult`` or the rank stops falling, so that a value that is not
+    an eigenvalue ends the loop."""
+    shifted = a.shift(-eig)
+    power, prev, parts = shifted, a.nrows, []
+    while prev > a.nrows - mult:
+        r = power.rank()
+        if r == prev:
+            break
+        parts.append(prev - r)
+        prev, power = r, power @ shifted
+    return tuple(parts)
+
+
 def spectral_data_of(a: RationalMatrix) -> SpectralData:
     """Conjugacy-class data by exact rank filtration at every eigenvalue."""
     eigs = rational_eigenvalues(a)
-    entries = []
-    for eig in sorted(eigs):
-        mult = eigs[eig]
-        shifted = a.shift(-eig)
-        power = shifted
-        prev_rank = a.nrows
-        parts = []
-        while prev_rank > a.nrows - mult:
-            r = power.rank()
-            parts.append(prev_rank - r)
-            prev_rank = r
-            power = power @ shifted
-        entries.append((eig, tuple(parts)))
-    return SpectralData(tuple(entries))
+    return SpectralData(
+        tuple((e, _filtration(a, e, eigs[e])) for e in sorted(eigs))
+    )
 
 
 def expected_spectral_data(parts: Sequence[int], eigvals: Sequence) -> SpectralData:
@@ -261,7 +268,9 @@ def expected_spectral_data(parts: Sequence[int], eigvals: Sequence) -> SpectralD
 
 
 def tuple_spectral_data(at: MatrixTuple) -> tuple[SpectralData, ...]:
-    return tuple(spectral_data_of(m) for m in at.matrices)
+    if "spectral" not in at._facts:
+        at._facts["spectral"] = tuple(spectral_data_of(m) for m in at.matrices)
+    return at._facts["spectral"]
 
 
 def _commutator_matrix(a: RationalMatrix) -> RationalMatrix:
@@ -290,8 +299,12 @@ def centralizer_dim(a: RationalMatrix, *, bound: int = 12) -> int:
 def joint_centralizer_dim(at: MatrixTuple, *, bound: int = 12) -> int:
     if at.size > bound:
         raise LinAlgError("size %d exceeds bound %d" % (at.size, bound))
-    stacked = vstack([_commutator_matrix(m) for m in at.matrices])
-    return at.size ** 2 - stacked.rank()
+    if "z" not in at._facts:
+        # A_0 = -(A_1 + ... + A_k): whatever commutes with A_1..A_k commutes
+        # with A_0, so its block adds nothing to the stack
+        stacked = vstack([_commutator_matrix(m) for m in at.matrices[1:]])
+        at._facts["z"] = at.size ** 2 - stacked.rank()
+    return at._facts["z"]
 
 
 @dataclass(frozen=True)
@@ -323,17 +336,17 @@ class OrbitDims:
 def orbit_dims(at: MatrixTuple, *, bound: int = 12) -> OrbitDims:
     n = at.size
     k = at.k
-    zj = [centralizer_dim(m, bound=bound) for m in at.matrices]
     z = joint_centralizer_dim(at, bound=bound)
+    try:  # a centralizer dimension is the sum of p_t^2 over spectral data
+        zj = [sum(p * p for _, ps in d.entries for p in ps)
+              for d in tuple_spectral_data(at)]
+    except IrrationalEigenvalueError:
+        zj = [centralizer_dim(m, bound=bound) for m in at.matrices]
     index = sum(zj) - (k - 1) * n * n
-    assert index % 2 == 0, "rigidity index must be even"
-    pidx = z - index // 2
-    assert pidx >= 0, "accessory-parameter count must be nonnegative"
-    assert index <= 2 * z
-    dim_conj = n * n - z
-    dim_classes = k * n * n + z - sum(zj)
-    assert (dim_classes - dim_conj) % 2 == 0
-    return OrbitDims(z, index, pidx, dim_conj, dim_classes)
+    # the orbit gap is 2z - index, and pidx >= 0 means index <= 2z
+    if index % 2 or index > 2 * z:
+        raise InvariantError("index %d is odd or exceeds 2 dim Z" % index)
+    return OrbitDims(z, index, z - index // 2, n * n - z, k * n * n + z - sum(zj))
 
 
 def addition(at: MatrixTuple, shifts: Sequence) -> MatrixTuple:
@@ -393,7 +406,7 @@ def check_mc_assumptions(at: MatrixTuple, mu: Sequence) -> McReport:
     if len(mu) != at.k + 1:
         raise LinAlgError("need one parameter per matrix")
     n = at.size
-    taus = sorted(rational_eigenvalues(at.matrices[0]))
+    taus = sorted(_rational_roots(at.matrices[0].charpoly()))
     violations = []
     for i in range(1, at.k + 1):
         others = [
@@ -547,11 +560,7 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
     if not scheme.is_constant():
         raise DegenerateSchemeError("need constant rational eigenvalues")
     table = scheme.constant_table()
-    trace = sum(
-        p * l
-        for row, lrow in zip(shape.partitions, table)
-        for p, l in zip(row, lrow)
-    )
+    trace = scheme.trace_form().const
     if trace != 0:
         raise DegenerateSchemeError("trace condition violated: %s" % trace)
     chain, orders, scalars = _replay_forward(shape, table)
@@ -569,9 +578,15 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
             raise DegenerateSchemeError(
                 "expected order %d, got %d" % (order, at.size)
             )
-    for a, row, lrow in zip(at.matrices, shape.partitions, table):
-        if spectral_data_of(a) != expected_spectral_data(row, lrow):
+    # The expected multiplicities of each matrix sum to n = at.size and
+    # generalized eigenspaces are independent, so a kernel of dimension
+    # sum(p) at every expected eigenvalue is the whole generalized eigenspace:
+    # ranks matching p up to t = len(p) prove the Jordan data exactly.
+    facts = tuple(map(expected_spectral_data, shape.partitions, table))
+    for a, data in zip(at.matrices, facts):
+        if any(_filtration(a, e, sum(p)) != p for e, p in data.entries):
             raise DegenerateSchemeError("spectral data mismatch at %r" % a)
+    at._facts["spectral"] = facts
     if joint_centralizer_dim(at) != 1:
         raise DegenerateSchemeError("constructed tuple is not irreducible")
     return at

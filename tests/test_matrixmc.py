@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from midconv import matrixmc
 from midconv.katz import Scheme
-from midconv.linalg import RationalMatrix
+from midconv.linalg import RationalMatrix, vstack
 from midconv.matrixmc import (
     DegenerateSchemeError,
     IrrationalEigenvalueError,
@@ -24,6 +25,8 @@ from midconv.matrixmc import (
     orbit_dims,
     random_scheme,
     rational_eigenvalues,
+    _commutator_matrix,
+    _filtration,
     scheme_of,
     spectral_data_of,
     tuple_spectral_data,
@@ -166,6 +169,87 @@ def test_spectral_data_roundtrip_normal_form():
         assert spectral_data_of(a) == expected_spectral_data(parts, eigs)
 
 
+def test_filtration_proves_jordan_structure():
+    e = frac(2, 3)
+    # right eigenvalue and multiplicity, one Jordan block instead of e * I
+    assert _filtration(jordan_cell(2, e), e, 2) == (1, 1) != (2,)
+    assert _filtration(RationalMatrix.identity(2).scale(e), e, 2) == (2,)
+    # a value that is not an eigenvalue stops at once instead of looping
+    assert _filtration(jordan_cell(2, e), frac(5), 2) == ()
+    assert _filtration(normal_form((2, 1), (e, frac(5))), frac(-1), 3) == ()
+
+
+def test_construct_rigid_rejects_wrong_jordan_structure(monkeypatch):
+    # the double eigenvalue of A_0 on 21,111,111 is semisimple; asking for
+    # a Jordan block there must fail although the multiplicities agree
+    scheme = random_scheme(parse("21,111,111"), random.Random(3), num_range=40)
+    construct_rigid(scheme)
+    real = matrixmc.expected_spectral_data
+
+    def jordan_first(parts, eigvals):
+        data = real(parts, eigvals)
+        if tuple(parts) != (2, 1):
+            return data
+        return matrixmc.SpectralData(tuple(
+            (e, (1, 1) if p == (2,) else p) for e, p in data.entries
+        ))
+
+    monkeypatch.setattr(matrixmc, "expected_spectral_data", jordan_first)
+    with pytest.raises(DegenerateSchemeError, match="spectral data mismatch"):
+        construct_rigid(scheme)
+
+
+def test_constructed_tuple_facts_need_no_recomputation(monkeypatch):
+    scheme, at = construct_rigid_random(parse("111,111,21"), random.Random(9))
+
+    def refuse(self, *args):
+        raise AssertionError("recomputed a fact of a constructed tuple")
+
+    with monkeypatch.context() as m:
+        m.setattr(RationalMatrix, "rank", refuse)
+        m.setattr(RationalMatrix, "charpoly", refuse)
+        dims = orbit_dims(at)
+        data = tuple_spectral_data(at)
+    fresh = MatrixTuple(at.matrices)
+    assert dims == orbit_dims(fresh)
+    assert (dims.dim_centralizer, dims.index, dims.pidx) == (1, 2, 0)
+    assert data == tuple_spectral_data(fresh) == tuple(
+        map(expected_spectral_data, scheme.shape.partitions,
+            scheme.constant_table())
+    )
+
+
+def test_joint_centralizer_needs_no_zeroth_block():
+    rng = random.Random(17)
+
+    def draw(n, k):
+        mats = [RationalMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                                for _ in range(n)]) for _ in range(k)]
+        total = mats[0]
+        for m in mats[1:]:
+            total = total + m
+        return [-total] + mats
+
+    def direct_sum(x, y):
+        nx, ny = x.nrows, y.nrows
+        return RationalMatrix(
+            [list(r) + [0] * ny for r in x.rows]
+            + [[0] * nx + list(r) for r in y.rows]
+        )
+
+    split = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        mats = draw(rng.randint(1, 3), k)
+        if rng.random() < 0.5:
+            mats = list(map(direct_sum, mats, draw(rng.randint(1, 2), k)))
+        at = MatrixTuple(mats)
+        old = at.size ** 2 - vstack([_commutator_matrix(m) for m in mats]).rank()
+        assert joint_centralizer_dim(at) == old
+        split += old > 1
+    assert split >= 10
+
+
 def test_centralizer_dims():
     a = normal_form((2, 1, 1), (frac(1), frac(2), frac(3)))
     assert centralizer_dim(a) == 2 * 2 + 1 + 1
@@ -274,6 +358,21 @@ def test_check_assumptions_pass_for_irreducible():
     _, at = construct_rigid_random(parse("11,11,11"), rng)
     mu = (frac(1, 3), frac(2), frac(-1, 5))
     assert check_mc_assumptions(at, mu).ok
+
+
+def test_middle_convolution_with_irrational_zeroth_eigenvalues():
+    # A_0 has characteristic polynomial x^2 + 4x + 5; its non-rational
+    # eigenvalues satisfy the kernel/image conditions trivially
+    a1 = RationalMatrix([[0, -2], [1, 0]])
+    a2 = RationalMatrix([[1, 0], [0, 3]])
+    at = MatrixTuple([-(a1 + a2), a1, a2])
+    assert check_mc_assumptions(at, (1, 2, 5)).violations == ()
+    out = middle_convolution(at, (1, 2, 5))
+    assert out.size == 4
+    assert out == middle_convolution(at, (1, 2, 5), check=False)
+    # no spectrum of this tuple splits: centralizers come from commutators
+    dims = orbit_dims(at)
+    assert (dims.dim_centralizer, dims.index, dims.pidx) == (1, 2, 0)
 
 
 def test_check_assumptions_named_violation():

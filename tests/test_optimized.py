@@ -14,9 +14,12 @@ import midconv
 
 SCRIPT = """
 import sys
+from fractions import Fraction
 from midconv.katz import reflect_by_rigid
 from midconv.linalg import RationalMatrix
-from midconv.matrixmc import _quotient_tuple
+from midconv.matrixmc import (
+    MatrixTuple, SpectralData, _quotient_tuple, orbit_dims,
+)
 from midconv.rootlattice import StepBudgetError, classify_root, root_of
 from midconv.spectype import InvariantError, parse
 
@@ -37,6 +40,16 @@ try:
     # e_2 is not invariant under the nilpotent Jordan block
     _quotient_tuple([RationalMatrix([[0, 1], [0, 0]])], [(0, 1)], 2)
     sys.exit("non-invariant subspace not detected")
+except InvariantError:
+    pass
+try:
+    # a Jordan pair claimed at size one makes the rigidity index odd
+    at = MatrixTuple([RationalMatrix([[v]]) for v in (2, 3, -5)])
+    at._facts["spectral"] = tuple(
+        SpectralData(((Fraction(v), p),)) for v, p in ((2, (1, 1)), (3, (1,)), (-5, (1,)))
+    )
+    orbit_dims(at)
+    sys.exit("inconsistent spectral data not detected")
 except InvariantError:
     pass
 print("ok")
