@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .katz import Scheme, SchemeError, Terminal, _sub_rows, reduce_rows
+from .katz import (
+    Scheme, SchemeError, Terminal, _grid_sub, _sub_grids, reduce_rows
+)
 from .paramform import ParamForm
 from .spectype import SpectralType
 
@@ -32,6 +34,21 @@ class PoleError(ValueError):
 
 class OracleError(ValueError):
     """The series limit did not converge within the term budget."""
+
+
+def _pins(m: SpectralType, pin0: int | None, pin1: int | None) -> tuple[int, int]:
+    """The pinned columns (1-based) at the first two points; None means the
+    last column."""
+    pins = []
+    for j, (pin, row) in enumerate(zip((pin0, pin1), m.partitions)):
+        if pin is None:
+            pin = len(row)
+        elif not 1 <= pin <= len(row):
+            raise SchemeError(
+                "pin %d at point %d is outside 1..%d" % (pin, j, len(row))
+            )
+        pins.append(pin)
+    return pins[0], pins[1]
 
 
 class RiemannScheme(Scheme):
@@ -50,8 +67,7 @@ class RiemannScheme(Scheme):
     def normalized(self, pin0: int | None = None, pin1: int | None = None):
         """Shift exponents so the pinned columns at the first two points
         vanish; the third point absorbs the shifts."""
-        pin0 = pin0 or len(self.shape.partitions[0])
-        pin1 = pin1 or len(self.shape.partitions[1])
+        pin0, pin1 = _pins(self.shape, pin0, pin1)
         s0 = self.eigenvalues[0][pin0 - 1]
         s1 = self.eigenvalues[1][pin1 - 1]
         rows = (
@@ -101,35 +117,27 @@ def rigid_decompositions(
         raise SchemeError("rigid decompositions need exactly three partitions")
     if any(p <= 0 for row in m.partitions for p in row):
         raise SchemeError("all parts must be positive")
-    pin0 = pin0 or len(m.partitions[0])
-    pin1 = pin1 or len(m.partitions[1])
+    pin0, pin1 = _pins(m, pin0, pin1)
     if m.part(0, pin0) != 1 or m.part(1, pin1) != 1:
         raise SchemeError("pinned columns must carry multiplicity one")
     if not _is_rigid_grid(m.partitions):
         raise SchemeError("%s is not rigid" % m)
+    # On aligned three-point grids (m', m) = sum of m'_{j,v} * m_{j,v} over
+    # all columns, minus s * n for s = ord m'.  If m' and m'' = m - m' are
+    # both rigid, 2 = (m, m) = 2 + 2 + 2 (m', m''), so (m', m'') = -1 and
+    # (m', m) = 1.  Conversely, if m' is rigid and (m', m) = 1, then
+    # m'' = m - (m', m) m' is the reflection of the real root m in m': a
+    # real root with nonnegative entries, hence rigid.  So the search keeps
+    # the sub-grids with (m', m) = 1, and only m' needs the kernel.
     n = m.order
-    row0, row1, row2 = m.partitions
     out = []
     for s in range(1, n):
-        for sub0 in _sub_rows(row0, s):
-            if sub0[pin0 - 1] != 1:
+        for first in _sub_grids(m.partitions, s, m.partitions, s * n + 1):
+            if first[0][pin0 - 1] != 1 or first[1][pin1 - 1] != 0:
                 continue
-            for sub1 in _sub_rows(row1, s):
-                if sub1[pin1 - 1] != 0:
-                    continue
-                for sub2 in _sub_rows(row2, s):
-                    first = (sub0, sub1, sub2)
-                    second = tuple(
-                        tuple(a - b for a, b in zip(p, q))
-                        for p, q in zip(m.partitions, first)
-                    )
-                    if _is_rigid_grid(first) and _is_rigid_grid(second):
-                        out.append(
-                            (
-                                SpectralType(first, trim=False),
-                                SpectralType(second, trim=False),
-                            )
-                        )
+            if _is_rigid_grid(first):
+                pair = (first, _grid_sub(m.partitions, first))
+                out.append(tuple(SpectralType(g, trim=False) for g in pair))
     out.sort(key=lambda pair: pair[0].partitions)
     return out
 
@@ -179,8 +187,7 @@ def connection_formula(
     decomposition, with multiplicity.
     """
     m = scheme.shape
-    pin0 = pin0 or len(m.partitions[0])
-    pin1 = pin1 or len(m.partitions[1])
+    pin0, pin1 = _pins(m, pin0, pin1)
     decs = rigid_decompositions(m, pin0, pin1)
     ev0 = scheme.eigenvalues[0]
     ev1 = scheme.eigenvalues[1]

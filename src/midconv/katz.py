@@ -511,59 +511,45 @@ def _grid_sub(a, b):
     return tuple(rows)
 
 
-def _zero_sum_parts(m: SpectralType, lam) -> list[tuple]:
-    """Proper componentwise sub-grids with equal row sums whose eigenvalue
-    sum vanishes.
+def _sub_grids(rows, s: int, weights, target: int) -> list[tuple]:
+    """Componentwise sub-grids of ``rows`` whose rows each sum to ``s`` and
+    whose weighted total (integer weights, one per column) is ``target``.
 
-    Eigenvalues are cleared to integers once; the last row is resolved by
-    hash lookup on the needed complement, the others by depth-first search
-    pruned with achievable-range bounds.
+    The last row is resolved by hash lookup on the needed complement, the
+    others by depth-first search pruned with achievable-range bounds.
     """
-    n = m.order
-    rows = m.partitions
-    den = 1
-    for lrow in lam:
-        for l in lrow:
-            den = den * l.denominator // math.gcd(den, l.denominator)
-    ilam = [[int(l * den) for l in lrow] for lrow in lam]
-    parts = []
-    for s in range(1, n):
-        options = []
-        for j, row in enumerate(rows):
-            opts = [
-                (sub, sum(c * l for c, l in zip(sub, ilam[j]) if c))
-                for sub in _sub_rows(row, s)
-            ]
-            options.append(opts)
-        if any(not o for o in options):
-            continue
-        lo = [min(v for _, v in o) for o in options]
-        hi = [max(v for _, v in o) for o in options]
-        suf_lo = [0] * (len(rows) + 1)
-        suf_hi = [0] * (len(rows) + 1)
-        for j in range(len(rows) - 1, -1, -1):
-            suf_lo[j] = suf_lo[j + 1] + lo[j]
-            suf_hi[j] = suf_hi[j + 1] + hi[j]
-        last_index: dict[int, list[tuple[int, ...]]] = {}
-        for sub, val in options[-1]:
-            last_index.setdefault(val, []).append(sub)
-        depth = len(rows) - 1
-        chosen: list[tuple[int, ...]] = []
+    options = []
+    for row, wrow in zip(rows, weights):
+        opts = [
+            (sub, sum(c * w for c, w in zip(sub, wrow) if c))
+            for sub in _sub_rows(row, s)
+        ]
+        if not opts:
+            return []
+        options.append(opts)
+    depth = len(options) - 1
+    lo = [sum(min(v for _, v in o) for o in options[j:]) for j in range(depth)]
+    hi = [sum(max(v for _, v in o) for o in options[j:]) for j in range(depth)]
+    last_index: dict[int, list[tuple[int, ...]]] = {}
+    for sub, val in options[-1]:
+        last_index.setdefault(val, []).append(sub)
+    grids = []
+    chosen: list[tuple[int, ...]] = []
 
-        def rec(j, total):
-            if j == depth:
-                for sub in last_index.get(-total, ()):
-                    parts.append(tuple(chosen) + (sub,))
-                return
-            if total + suf_lo[j] > 0 or total + suf_hi[j] < 0:
-                return
-            for sub, val in options[j]:
-                chosen.append(sub)
-                rec(j + 1, total + val)
-                chosen.pop()
+    def rec(j, total):
+        if j == depth:
+            for sub in last_index.get(target - total, ()):
+                grids.append(tuple(chosen) + (sub,))
+            return
+        if total + lo[j] > target or total + hi[j] < target:
+            return
+        for sub, val in options[j]:
+            chosen.append(sub)
+            rec(j + 1, total + val)
+            chosen.pop()
 
-        rec(0, 0)
-    return parts
+    rec(0, 0)
+    return grids
 
 
 def ds_existence(s: Scheme, *, bound: int = 12) -> bool:
@@ -590,11 +576,13 @@ def ds_existence(s: Scheme, *, bound: int = 12) -> bool:
     if reduce_rows(m.partitions, m.order).terminal is Terminal.VIOLATION:
         return False
     lam = s.constant_table()
+    den = math.lcm(*(l.denominator for lrow in lam for l in lrow))
+    ilam = [[int(l * den) for l in lrow] for lrow in lam]
     candidates = []
-    for grid in _zero_sum_parts(m, lam):
-        st = SpectralType(grid, trim=False)
-        if reduce_rows(grid, st.order).terminal is not Terminal.VIOLATION:
-            candidates.append((grid, pidx(st)))
+    for size in range(1, m.order):
+        for grid in _sub_grids(m.partitions, size, ilam, 0):
+            if reduce_rows(grid, size).terminal is not Terminal.VIOLATION:
+                candidates.append((grid, pidx(SpectralType(grid, trim=False))))
     candidates.sort()
     target = pidx(m)
     full = tuple(m.partitions)

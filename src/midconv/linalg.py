@@ -18,10 +18,10 @@ class LinAlgError(ValueError):
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise LinAlgError("floats are not exact rationals")
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 

@@ -13,6 +13,8 @@ from typing import Iterable, Mapping
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass Fraction, int or str")
     return Fraction(x)

@@ -135,6 +135,13 @@ def test_connect(capsys):
     validate(json.loads(out), "urn:midconv:gamma_formula")
 
 
+def test_pin_outside_the_row_exits_one(capsys):
+    for verb in ("decompose", "connect"):
+        code, out = run(capsys, verb, "1111,211,22", "--pins", "0", "3")
+        assert code == 1
+        assert out == ""
+
+
 def test_mc_demo(capsys):
     code, out = run(capsys, "mc-demo", "11,11,11", "--seed", "7")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from midconv.connection import (
     rigid_decompositions,
     series_limit_oracle,
 )
-from midconv.katz import SchemeError
+from midconv.enumeration import enumerate_rigid
+from midconv.katz import SchemeError, Terminal, _sub_rows, reduce_rows
 from midconv.paramform import ParamForm
 from midconv.spectype import SpectralType, idx, parse
 
@@ -94,6 +96,72 @@ def test_rigid_decomposition_errors():
         rigid_decompositions(parse("211,211,1111"))  # not rigid
     with pytest.raises(SchemeError):
         rigid_decompositions(parse("1111,211,22"), 4, 1)  # pin not 1
+
+
+def test_pin_outside_the_row_raises():
+    m = parse("1111,211,22")
+    for pins, message in (
+        ((0, 3), "pin 0 at point 0"),
+        ((1, 0), "pin 0 at point 1"),
+        ((-1, 3), "pin -1 at point 0"),
+        ((9, 3), "pin 9 at point 0"),
+        ((4, 4), "pin 4 at point 1"),
+    ):
+        with pytest.raises(SchemeError, match=message):
+            rigid_decompositions(m, *pins)
+    scheme = RiemannScheme.generic(m)
+    with pytest.raises(SchemeError, match="pin 0 at point 0"):
+        connection_formula(scheme, 0, 3)
+    with pytest.raises(SchemeError, match="pin 0 at point 1"):
+        scheme.normalized(4, 0)
+    assert rigid_decompositions(m, None, 3) == rigid_decompositions(m, 4, 3)
+
+
+def _two_kernel_decompositions(m, pin0, pin1):
+    """Every pinned column-aligned sub-grid, kept when the reduction kernel
+    proves both it and its complement rigid."""
+    out = []
+    for s in range(1, m.order):
+        for first in itertools.product(*(_sub_rows(r, s) for r in m.partitions)):
+            if first[0][pin0 - 1] != 1 or first[1][pin1 - 1] != 0:
+                continue
+            second = tuple(
+                tuple(a - b for a, b in zip(p, q))
+                for p, q in zip(m.partitions, first)
+            )
+            if all(
+                reduce_rows(g, sum(g[0])).terminal is Terminal.ORDER_ONE
+                for g in (first, second)
+            ):
+                out.append((first, second))
+    return sorted(out)
+
+
+def test_rigid_decompositions_match_the_two_kernel_rule():
+    # every pin pair with multiplicity one, on every ordering of the
+    # partitions of every three-point rigid class up to order 7
+    pairs = 0
+    for n in range(2, 8):
+        for m in enumerate_rigid(n).items:
+            if m.npart != 3:
+                continue
+            for arr in sorted(set(itertools.permutations(m.partitions))):
+                shape = SpectralType(arr, trim=False)
+                for pin0, pin1 in itertools.product(
+                    *(
+                        [v + 1 for v, p in enumerate(row) if p == 1]
+                        for row in arr[:2]
+                    )
+                ):
+                    got = [
+                        (a.partitions, b.partitions)
+                        for a, b in rigid_decompositions(shape, pin0, pin1)
+                    ]
+                    want = _two_kernel_decompositions(shape, pin0, pin1)
+                    assert got == want, (arr, pin0, pin1)
+                    assert len(got) == len(arr[0]) + len(arr[1]) - 2
+                    pairs += 1
+    assert pairs == 556
 
 
 def test_connection_formula_h2():
@@ -214,6 +282,17 @@ def test_normalized_scheme():
     assert norm.eigenvalues[0][1] == ParamForm(0)
     assert norm.eigenvalues[1][1] == ParamForm(0)
     assert fuchs_value(norm) == fuchs_value(scheme)
+
+
+def test_param_form_coefficients_are_exact():
+    third = Fraction(1, 3)
+    assert ParamForm(third).const is third
+    assert ParamForm("1/3") == ParamForm(third)
+    assert ParamForm(0, {"x": "1/3"}.items()) == ParamForm.var("x") * third
+    with pytest.raises(TypeError):
+        ParamForm(0.5)
+    with pytest.raises(TypeError):
+        ParamForm.var("x") * 0.5
 
 
 def test_gamma_formula_rendering():

@@ -5,7 +5,7 @@ import pytest
 
 from midconv import matrixmc
 from midconv.katz import Scheme
-from midconv.linalg import RationalMatrix, vstack
+from midconv.linalg import LinAlgError, RationalMatrix, vstack
 from midconv.matrixmc import (
     DegenerateSchemeError,
     IrrationalEigenvalueError,
@@ -40,6 +40,17 @@ def frac(a, b=1):
 
 def scalar_tuple(*vals):
     return MatrixTuple([RationalMatrix([[Fraction(v)]]) for v in vals])
+
+
+def test_matrix_entries_are_exact():
+    third = Fraction(1, 3)
+    m = RationalMatrix([[third, "1/3"], [2, Fraction(4, 2)]])
+    assert m.rows[0][0] is third
+    assert m.rows == ((third, third), (Fraction(2), Fraction(2)))
+    with pytest.raises(LinAlgError):
+        RationalMatrix([[0.5]])
+    with pytest.raises(LinAlgError):
+        m.scale(0.5)
 
 
 def test_normal_form_printed_example():
