@@ -17,6 +17,7 @@ from . import diagram as diagram_mod
 from .connection import RiemannScheme, connection_formula, rigid_decompositions
 from .enumeration import EnumerationError, count_table, enumerate_basic, enumerate_rigid
 from .katz import SchemeError, Verdict, classify, reduce as katz_reduce
+from .linalg import LinAlgError
 from .matrixmc import (
     DegenerateSchemeError,
     construct_rigid_random,
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (SpectralTypeError, SchemeError, EnumerationError) as exc:
+    except (SpectralTypeError, SchemeError, EnumerationError, LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .katz import (
-    Scheme, SchemeError, Terminal, _grid_sub, _sub_grids, reduce_rows
+    Scheme, SchemeError, Terminal, _column_sum, _grid_sub, _sub_grids, reduce_rows
 )
 from .paramform import ParamForm
 from .spectype import SpectralType
@@ -90,11 +90,7 @@ def fuchs_value(
         len(r) > len(e) for r, e in zip(shape.partitions, scheme.eigenvalues)
     ):
         raise SchemeError("sub-shape is not aligned with the scheme")
-    total = ParamForm(1 - shape.order)
-    for row, evs in zip(shape.partitions, scheme.eigenvalues):
-        for p, e in zip(row, evs):
-            total = total + p * e
-    return total
+    return _column_sum(shape.partitions, scheme.eigenvalues, 1 - shape.order)
 
 
 def _is_rigid_grid(grid) -> bool:

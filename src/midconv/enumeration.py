@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .katz import Terminal, reduce_rows
 from .spectype import SpectralType, to_text
@@ -30,33 +29,39 @@ class EnumerationError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _nontrivial_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Monotone partitions of n with at least two parts, descending lex."""
-    out: list[tuple[int, ...]] = []
+def _nontrivial_partitions(n: int, budget: int) -> list[tuple[int, ...]]:
+    """Monotone partitions of n with at least two parts and excess
+    sum_{v>=2} (m_1 - m_v) m_v at most ``budget``, in descending lex order.
 
-    def rec(left, cap, acc):
+    Every excess term is >= 0.  Once a part p < m_1 is placed with ``left``
+    units (p among them) to cover, the later parts q <= p cover left - p
+    units and add q (m_1 - q) >= q (m_1 - p) each: every completion exceeds
+    the prefix's excess by at least (m_1 - p)(left - p).  Past the budget
+    the prefix is dropped with every smaller p, whose bound is larger.  A
+    budget of n * n cuts nothing: every excess is below m_1 (n - m_1).
+    """
+    out: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(left, cap, excess):
         if left == 0:
-            if len(acc) > 1:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
         for p in range(min(cap, left), 0, -1):
+            head = acc[0] if acc else p
+            cost = excess + (head - p) * p
+            if cost + (head - p) * (left - p) > budget:
+                break
             acc.append(p)
-            rec(left - p, p, acc)
+            rec(left - p, p, cost)
             acc.pop()
 
-    rec(n, n - 1 if n > 1 else 1, [])
-    out.sort(reverse=True)
-    return tuple(out)
+    rec(n, n - 1, 0)
+    return out
 
 
 def _weight(n: int, row: tuple[int, ...]) -> int:
     return n * n - sum(p * p for p in row)
-
-
-def _excess(row: tuple[int, ...]) -> int:
-    """sum_{v>=2} (m_1 - m_v) m_v for a monotone partition."""
-    return sum((row[0] - p) * p for p in row[1:])
 
 
 def _reduces_to_one(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -64,14 +69,14 @@ def _reduces_to_one(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
     return reduce_rows(rows, n).terminal is Terminal.ORDER_ONE
 
 
-def _multisets(parts, weights, total, extra_cap=None, extras=None, first=None):
+def _multisets(weights, total, extra_cap=None, extras=None, first=None):
     """Non-decreasing index multisets with the prescribed total weight.
 
     ``extras``/``extra_cap`` optionally bound a second additive statistic
     (used for the basic fixed-point condition).  With ``first`` only the
     multisets whose smallest index is ``first`` are generated.
     """
-    size = len(parts)
+    size = len(weights)
     minw = [0] * (size + 1)
     cur = None
     for i in range(size - 1, -1, -1):
@@ -149,10 +154,10 @@ def _make_report(kind: str, parameter: int, grids) -> EnumerationReport:
 
 
 def _rigid_grids(n: int, first: int | None = None):
-    parts = _nontrivial_partitions(n)
+    parts = _nontrivial_partitions(n, n * n)
     weights = tuple(_weight(n, row) for row in parts)
     found = []
-    for combo in _multisets(parts, weights, 2 * n * n - 2, first=first):
+    for combo in _multisets(weights, 2 * n * n - 2, first=first):
         rows = tuple(parts[j] for j in combo)
         if _reduces_to_one(rows, n):
             found.append(rows)
@@ -178,7 +183,7 @@ def enumerate_rigid(
             % (n, max_order)
         )
     if jobs > 1:
-        firsts = range(len(_nontrivial_partitions(n)))
+        firsts = range(len(_nontrivial_partitions(n, n * n)))
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.starmap(_rigid_grids, [(n, f) for f in firsts], chunksize=1)
         grids = [rows for chunk in chunks for rows in chunk]
@@ -188,22 +193,12 @@ def enumerate_rigid(
 
 
 def _basic_grids(p: int, n: int):
-    parts = _nontrivial_partitions(n)
-    usable = [
-        (row, _weight(n, row), _excess(row))
-        for row in parts
-        if _excess(row) <= -p
-    ]
-    if not usable:
-        return []
-    rows_ = tuple(u[0] for u in usable)
-    weights = tuple(u[1] for u in usable)
-    excesses = tuple(u[2] for u in usable)
+    parts = _nontrivial_partitions(n, -p)
+    weights = tuple(_weight(n, row) for row in parts)
+    excesses = tuple(sum((row[0] - q) * q for q in row[1:]) for row in parts)
     found = []
-    for combo in _multisets(
-        rows_, weights, 2 * n * n - p, extra_cap=-p, extras=excesses
-    ):
-        grid = tuple(rows_[j] for j in combo)
+    for combo in _multisets(weights, 2 * n * n - p, extra_cap=-p, extras=excesses):
+        grid = tuple(parts[j] for j in combo)
         if math.gcd(*(q for row in grid for q in row)) == 1:
             found.append(grid)
     return found

@@ -413,6 +413,17 @@ def nilpotent_realizable(m: SpectralType) -> bool:
     return True
 
 
+def _column_sum(rows, eigenvalues, const=0) -> ParamForm:
+    """const + sum of multiplicity times eigenvalue over columns, as one form."""
+    terms: dict[str, Fraction] = {}
+    for row, evs in zip(rows, eigenvalues):
+        for p, e in zip(row, evs):
+            const += p * e.const
+            for name, c in e.terms:
+                terms[name] = terms.get(name, 0) + p * c
+    return ParamForm(const, terms.items())
+
+
 class Scheme:
     """A spectral type with an eigenvalue attached to every column.
 
@@ -453,11 +464,7 @@ class Scheme:
 
     def trace_form(self) -> ParamForm:
         """Sum of multiplicity times eigenvalue over all columns."""
-        total = ParamForm(0)
-        for row, evs in zip(self.shape.partitions, self.eigenvalues):
-            for p, e in zip(row, evs):
-                total = total + p * e
-        return total
+        return _column_sum(self.shape.partitions, self.eigenvalues)
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.eigenvalues for e in row)

@@ -7,7 +7,7 @@ and are stored in the file, so the test needs no benchmark code:
 * ``analyze`` on the 1 500 seed-1 ``classify-stream`` types;
 * ``reduce`` and ``diagram`` on every tenth of them;
 * ``enumerate-rigid`` for orders 2..12, ``enumerate-basic`` for indices
-  0..-6 and ``counts`` with its defaults;
+  0..-12 and ``counts`` with its defaults;
 * ``decompose`` and ``connect`` (plain and ``--latex``) on the 98 pinned
   three-point arrangements to order 7;
 * ``mc-demo --seed 0`` on the 21 three-point rigid shapes of orders 4 to 6;
@@ -37,7 +37,7 @@ def command_lines():
     lines += [["diagram", t] for t in sample]
     lines += [["diagram", t, "--dot"] for t in sample]
     lines += [["enumerate-rigid", "-n", str(n)] for n in range(2, 13)]
-    lines += [["enumerate-basic", "-p", str(p)] for p in range(0, -7, -2)]
+    lines += [["enumerate-basic", "-p", str(p)] for p in range(0, -13, -2)]
     lines += [["counts"]]
     for text in inputs.pinned_arrangements():
         lines += [["decompose", text], ["connect", text], ["connect", text, "--latex"]]

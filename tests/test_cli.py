@@ -152,6 +152,15 @@ def test_mc_demo(capsys):
     assert code == 2
 
 
+def test_mc_demo_past_the_centralizer_bound_exits_one(capsys):
+    # the order-13 tuple is built, then the dense centralizer computation
+    # refuses its size; that is one error line, not a traceback
+    code = main(["mc-demo", "1111111111111,1111111111111,12 1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: size 13 exceeds bound 12\n"
+
+
 def test_diagram(capsys):
     code, out = run(capsys, "diagram", "11,11,11,11")
     assert code == 0

@@ -39,7 +39,7 @@ def _multiset_grids():
     for n in range(1, 9):
         for k in range(0, (5 if n <= 7 else 4) + 1):
             for combo in itertools.combinations_with_replacement(
-                _nontrivial_partitions(n), k
+                _nontrivial_partitions(n, n * n), k
             ):
                 yield combo + ((n,),)
 

@@ -263,7 +263,7 @@ def _all_tuples_up_to(order, max_rows):
     """Multisets of nontrivial partitions; at least two partitions so the
     existence theorem applies."""
     for n in range(2, order + 1):
-        parts = _nontrivial_partitions(n)
+        parts = _nontrivial_partitions(n, n * n)
         for size in range(2, max_rows + 1):
             for combo in itertools.combinations_with_replacement(parts, size):
                 yield SpectralType(combo, trim=False)
