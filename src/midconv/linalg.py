@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices as tuples of tuples of Fraction.  Rank uses
-fraction-free (Bareiss) elimination on a denominator-cleared integer copy;
-solving, null spaces and inverses use ordinary Gauss-Jordan over Fraction.
-No floating point anywhere.
+Small dense matrices as tuples of tuples of Fraction.  Rank, reduced
+echelon form (and so null spaces and inverses) and products work on integer
+copies: each row (for a product, each column of the right factor) is
+multiplied by the lcm of its denominators, and the results go back to
+Fraction only at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,6 +25,56 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise LinAlgError("floats are not exact rationals")
     return Fraction(x)
+
+
+def _cleared(rows) -> tuple[list[list[int]], list[int]]:
+    """Integer rows and the lcm of each row's denominators."""
+    out, dens = [], []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+    return out, dens
+
+
+def _eliminate(m: list[list[int]], above: bool) -> list[int]:
+    """Row-reduce the integer rows ``m`` in place; return the pivot columns.
+
+    Pivot k moves to row k; each other row below it (and, with ``above``,
+    each row above it) that has a nonzero entry f in the pivot column
+    becomes p * row - f * pivot_row, p the pivot entry, divided by the gcd
+    of its entries.  The rows past the last pivot end up zero.
+
+    The entries stay as small as Bareiss's.  Both methods apply the same row
+    operations up to nonzero scalars: after each pivot, a row of either one
+    is a nonzero multiple of its input row plus a combination of the input
+    rows of the pivots reduced into it, and it vanishes in those pivot
+    columns; as the pivot block is invertible, that fixes the row up to a
+    factor.  So each primitive row here is the matching Bareiss row divided
+    by its content, and its entries never exceed Bareiss's minors of ``m``.
+    With ``above`` the same holds for fraction-free Gauss-Jordan, whose
+    entries are minors by Cramer's rule.
+    """
+    nr, nc = len(m), len(m[0])
+    pivots: list[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if above else r + 1, nr):
+            f = m[i][c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if r + 1 == nr:
+            break
+    return pivots
 
 
 class RationalMatrix:
@@ -70,21 +122,18 @@ class RationalMatrix:
             [[str(x) for x in row] for row in self.rows],
         )
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _entrywise(self, other: "RationalMatrix", op) -> "RationalMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise LinAlgError("shape mismatch in sum or difference")
         return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
+            tuple(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)
         )
 
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "RationalMatrix":
         return self.scale(-1)
@@ -110,12 +159,12 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise LinAlgError("dimension mismatch in product")
-        cols = tuple(zip(*other.rows))
+        rows, dens = _cleared(self.rows)
+        cols, col_dens = _cleared(zip(*other.rows))
         return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+            (Fraction(sum(map(operator.mul, row, col)), d * e)
+             for col, e in zip(cols, col_dens))
+            for row, d in zip(rows, dens)
         )
 
     def trace(self) -> Fraction:
@@ -127,49 +176,13 @@ class RationalMatrix:
         return all(x == 0 for row in self.rows for x in row)
 
     def rank(self) -> int:
-        """Fraction-free Bareiss elimination on an integer-cleared copy."""
-        m = []
-        for row in self.rows:
-            den = math.lcm(*(x.denominator for x in row))
-            m.append([int(x * den) for x in row])
-        nr, nc = len(m), len(m[0])
-        r = 0
-        prev = 1
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, nr):
-                for j in range(c + 1, nc):
-                    m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-                m[i][c] = 0
-            prev = m[r][c]
-            r += 1
-            if r == nr:
-                break
-        return r
+        return len(_eliminate(_cleared(self.rows)[0], above=False))
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        m = [list(row) for row in self.rows]
-        nr, nc = len(m), len(m[0])
-        pivots = []
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
+        m = _cleared(self.rows)[0]
+        pivots = _eliminate(m, above=True)
+        for row, c in zip(m, pivots):
+            row[:] = [Fraction(x, row[c]) for x in row]
         return RationalMatrix(m), tuple(pivots)
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:

@@ -289,7 +289,8 @@ def _commutator_matrix(a: RationalMatrix) -> RationalMatrix:
 
 
 def centralizer_dim(a: RationalMatrix, *, bound: int = 12) -> int:
-    """Dimension of the commutant {X : AX = XA} by exact nullspace."""
+    """Dimension of the commutant {X : AX = XA}: n^2 minus the exact rank
+    of X -> AX - XA."""
     if a.nrows > bound:
         raise LinAlgError("size %d exceeds bound %d" % (a.nrows, bound))
     n = a.nrows
@@ -454,12 +455,11 @@ def _quotient_tuple(mats, space, size) -> list[RationalMatrix]:
                 out = [u - v[p] * x for u, x in zip(out, c)]
         return out
 
+    span = RationalMatrix(zip(*basis))
     out = []
     for g in mats:
-        for w in basis:
-            image = [sum(x * y for x, y in zip(row, w) if y) for row in g.rows]
-            if any(residual(image)):
-                raise InvariantError("subspace is not invariant")
+        if any(any(residual(image)) for image in zip(*(g @ span).rows)):
+            raise InvariantError("subspace is not invariant")
         cols = tuple(zip(*g.rows))
         out.append(RationalMatrix(zip(*(residual(cols[j]) for j in free))))
     return out

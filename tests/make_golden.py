@@ -10,12 +10,13 @@ and are stored in the file, so the test needs no benchmark code:
   0..-12 and ``counts`` with its defaults;
 * ``decompose`` and ``connect`` (plain and ``--latex``) on the 98 pinned
   three-point arrangements to order 7;
-* ``mc-demo --seed 0`` on the 21 three-point rigid shapes of orders 4 to 6;
+* ``mc-demo --seed 0`` on every rigid shape of the published table to
+  order 7 (``rigid_table_to_order_7``: orders 2 to 7, up to 8 points);
 * a few malformed inputs.
 
 Every command runs in text form and with ``--json``; ``mc-demo --seed 1``
-on the same shapes runs with ``--json`` only, which keeps the test under a
-minute.
+on the 21 three-point shapes of orders 4 to 6 runs with ``--json`` only,
+which keeps the test under a minute.
 """
 
 import json
@@ -43,6 +44,8 @@ def command_lines():
         lines += [["decompose", text], ["connect", text], ["connect", text, "--latex"]]
     shapes = sorted(op["shape"] for op in inputs.matrix_mc(1)[0])
     lines += [["mc-demo", s, "--seed", "0"] for s in shapes]
+    lines += [["mc-demo", s, "--seed", "0"]
+              for s in inputs.PUBLISHED["rigid_table_to_order_7"] if s not in shapes]
     lines += [["analyze", "21,111"], ["reduce", "2x,11"],
               ["enumerate-rigid", "-n", "1"], ["decompose", "21,21,21"],
               ["connect", "11,11"], ["frobnicate"]]
