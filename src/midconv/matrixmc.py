@@ -47,8 +47,8 @@ class DegenerateSchemeError(ValueError):
 class MatrixTuple:
     """Square rational matrices (A_0,...,A_k) of equal size with zero sum."""
 
-    # _facts: spectral data and joint centralizer dimension, written once by
-    # the routine that proves or computes them and read after that
+    # _facts: "spectral" (spectral data), "z" (dim Z) and "irreducible", each
+    # written once by the routine that proves, computes or constructs it
     __slots__ = ("matrices", "_facts")
 
     def __init__(self, matrices: Sequence[RationalMatrix]):
@@ -298,9 +298,11 @@ def centralizer_dim(a: RationalMatrix, *, bound: int = 12) -> int:
 
 
 def joint_centralizer_dim(at: MatrixTuple, *, bound: int = 12) -> int:
-    if at.size > bound:
-        raise LinAlgError("size %d exceeds bound %d" % (at.size, bound))
+    if "irreducible" in at._facts:
+        return 1  # Schur
     if "z" not in at._facts:
+        if at.size > bound:
+            raise LinAlgError("size %d exceeds bound %d" % (at.size, bound))
         # A_0 = -(A_1 + ... + A_k): whatever commutes with A_1..A_k commutes
         # with A_0, so its block adds nothing to the stack
         stacked = vstack([_commutator_matrix(m) for m in at.matrices[1:]])
@@ -472,13 +474,21 @@ def middle_convolution(
 
     Shift by minus (mu_1,...,mu_k), convolve at the parameter total, divide
     out the blockwise kernels plus the kernel of the zeroth block, shift
-    again.  With ``check`` the kernel/image conditions are verified first
-    and a violation raises :class:`McAssumptionError`.
+    again.  Unless the input is known irreducible of size > 1, ``check``
+    verifies the kernel/image conditions first; a violation raises
+    :class:`McAssumptionError`.  The output is known irreducible when the
+    input is, the total is nonzero and the conditions hold (Dettweiler-Reiter).
     """
     mu = [Fraction(x) for x in mu]
     if len(mu) != at.k + 1:
         raise LinAlgError("need one parameter per matrix")
-    if check:
+    # On an irreducible tuple of size n > 1 no condition fails.  A vector
+    # in the kernel of every A_j - mu_j (j != i) and of A_0 - tau is an
+    # eigenvector of A_i = -(sum of the others) too, so it spans an invariant
+    # line; a deficient image sum gives a common left eigenvector, whose
+    # kernel is an invariant hyperplane.  At n = 1 the check is the test.
+    known = "irreducible" in at._facts and at.size > 1
+    if check and not known:
         report = check_mc_assumptions(at, mu)
         if not report.ok:
             raise McAssumptionError(report)
@@ -501,7 +511,10 @@ def middle_convolution(
             "blockwise kernels meet the zeroth kernel at a nonzero total"
         )
     reduced = _quotient_tuple(conv.matrices, space, k * n)
-    return addition(MatrixTuple(reduced), shifts)
+    out = addition(MatrixTuple(reduced), shifts)
+    if "irreducible" in at._facts and total != 0 and (check or known):
+        out._facts["irreducible"] = True
+    return out
 
 
 def scheme_of(at: MatrixTuple) -> Scheme:
@@ -548,10 +561,11 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
     """Irreducible zero-sum tuple realizing a rigid concrete scheme.
 
     The eigenvalue bookkeeping of the reduction chain is replayed down to
-    scalars and inverted with one middle convolution per step.  Degenerate
-    eigenvalue choices (vanishing parameter totals, coinciding eigenvalues,
-    failed convolution assumptions) raise :class:`DegenerateSchemeError`;
-    resample and retry in that case.
+    scalars and inverted with one middle convolution per step.  Each total
+    is nonzero, so the tuple is irreducible by construction and carries that
+    fact.  Degenerate eigenvalue choices (vanishing parameter totals,
+    coinciding eigenvalues, failed convolution assumptions) raise
+    :class:`DegenerateSchemeError`; resample and retry in that case.
     """
     shape = scheme.shape
     red = reduce_rows(shape.partitions, shape.order)
@@ -567,6 +581,7 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
     if sum(scalars) != 0:
         raise InvariantError("scalar terminal does not sum to zero")
     at = MatrixTuple([RationalMatrix([[s]]) for s in scalars])
+    at._facts["irreducible"] = True
     for mu, order in zip(reversed(chain), reversed(orders)):
         try:
             at = middle_convolution(at, tuple(-x for x in mu))
@@ -587,8 +602,6 @@ def construct_rigid(scheme: Scheme) -> MatrixTuple:
         if any(_filtration(a, e, sum(p)) != p for e, p in data.entries):
             raise DegenerateSchemeError("spectral data mismatch at %r" % a)
     at._facts["spectral"] = facts
-    if joint_centralizer_dim(at) != 1:
-        raise DegenerateSchemeError("constructed tuple is not irreducible")
     return at
 
 

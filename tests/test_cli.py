@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from referencing import Registry, Resource
 
 import midconv
 from midconv.cli import main
+from midconv.linalg import LinAlgError
+from midconv.matrixmc import MatrixTuple, construct_rigid_random, joint_centralizer_dim
 from midconv.spectype import canonicalize, parse
 
 
@@ -152,13 +155,19 @@ def test_mc_demo(capsys):
     assert code == 2
 
 
-def test_mc_demo_past_the_centralizer_bound_exits_one(capsys):
-    # the order-13 tuple is built, then the dense centralizer computation
-    # refuses its size; that is one error line, not a traceback
-    code = main(["mc-demo", "1111111111111,1111111111111,12 1"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err == "error: size 13 exceeds bound 12\n"
+def test_mc_demo_past_the_centralizer_bound_exits_zero(capsys):
+    # a constructed tuple is irreducible by construction, so dim Z = 1 needs
+    # no dense centralizer computation and the bound of 12 does not apply
+    code, out = run(capsys, "mc-demo", "1111111111111,1111111111111,12 1")
+    assert code == 0
+    assert out.startswith("shape ") and "realized in size 13\n" in out
+    assert out.splitlines()[-1].startswith("idx=2 dim Z=1 ")
+    # the same matrices without the fact still meet the bound
+    _, at = construct_rigid_random(parse("1111111111111,1111111111111,12 1"),
+                                   random.Random(0))
+    assert "irreducible" in at._facts
+    with pytest.raises(LinAlgError, match="^size 13 exceeds bound 12$"):
+        joint_centralizer_dim(MatrixTuple(at.matrices))
 
 
 def test_diagram(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from midconv import matrixmc
+from midconv.enumeration import enumerate_rigid
 from midconv.katz import Scheme
 from midconv.linalg import LinAlgError, RationalMatrix, vstack
 from midconv.matrixmc import (
@@ -32,6 +33,7 @@ from midconv.matrixmc import (
     tuple_spectral_data,
 )
 from midconv.spectype import parse
+from test_acceptance import _predicted_output
 
 
 def frac(a, b=1):
@@ -228,6 +230,115 @@ def test_constructed_tuple_facts_need_no_recomputation(monkeypatch):
         map(expected_spectral_data, scheme.shape.partitions,
             scheme.constant_table())
     )
+
+
+# one round of the benchmark's matrix-mc workload at seed 1
+# (perfbench/inputs.py, matrix_mc(1)): shape and construction seed
+MATRIX_MC_SEED_1 = (
+    ("211,211,211", 245555657), ("222,222,321", 519498264),
+    ("111111,321,33", 465778971), ("221,221,221", 730777316),
+    ("111111,111111,51", 202551594), ("222,3111,321", 566497782),
+    ("3111,3111,321", 981535175), ("21111,222,411", 344827981),
+    ("21111,2211,42", 894562953), ("2211,321,321", 235010734),
+    ("11111,221,32", 510449535), ("1111,1111,31", 175331513),
+    ("2211,2211,411", 410014668), ("21111,3111,33", 363186845),
+    ("111111,222,42", 985731569), ("11111,11111,41", 752165515),
+    ("21111,222,33", 334750880), ("2111,221,311", 128732046),
+    ("2111,2111,32", 851295709), ("1111,211,22", 750220946),
+    ("2211,2211,33", 617815812),
+)
+
+
+def test_irreducibility_by_construction_agrees_with_the_checks(monkeypatch):
+    """Replays constructions and round trips with the checks an irreducible
+    input skips: at every step the kernel/image conditions hold, and a tuple
+    marked irreducible has dim Z = 1 when computed from its matrices."""
+    real = matrixmc.middle_convolution
+    seen = {"steps": 0, "marked": 0}
+
+    def audited(at, mu, **kwargs):
+        assert check_mc_assumptions(at, mu).ok
+        out = real(at, mu, **kwargs)
+        seen["steps"] += 1
+        if "irreducible" in out._facts:
+            seen["marked"] += 1
+            assert joint_centralizer_dim(MatrixTuple(out.matrices)) == 1
+        return out
+
+    monkeypatch.setattr(matrixmc, "middle_convolution", audited)
+
+    def round_trip(at, mu):
+        forward = matrixmc.middle_convolution(at, mu)
+        back = matrixmc.middle_convolution(forward, tuple(-x for x in mu))
+        assert tuple_spectral_data(back) == tuple_spectral_data(at)
+        assert "irreducible" in back._facts
+
+    # the matrix-mc round: construction, then the parameters at the
+    # eigenvalues of the first maximal columns, forward and back
+    for text, seed in MATRIX_MC_SEED_1:
+        shape = parse(text)
+        scheme, at = construct_rigid_random(shape, random.Random(seed))
+        assert "irreducible" in at._facts
+        mu = tuple(lam[row.index(max(row))] for row, lam in
+                   zip(shape.partitions, scheme.constant_table()))
+        round_trip(at, mu)
+
+    # drawn as criterion 5 draws: constructed tuples of order <= 6 with a
+    # middle convolution of predicted order 1..7 and back
+    shapes = [s for n in range(2, 7) for s in enumerate_rigid(n).items]
+    rng = random.Random(2024)
+    for draw in range(24):
+        scheme, at = construct_rigid_random(
+            shapes[draw % len(shapes)], random.Random(rng.randrange(1 << 30)),
+            num_range=40,
+        )
+        lam_rows = scheme.constant_table()
+        for _ in range(50):
+            mu = tuple(
+                rng.choice(row) if rng.random() < 0.6
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                for row in lam_rows
+            )
+            predicted = _predicted_output(scheme.shape.partitions, lam_rows, mu)
+            if predicted is not None and 1 <= predicted[1] <= 7:
+                round_trip(at, mu)
+                break
+    assert seen["marked"] == seen["steps"] > 200
+
+
+def test_reducible_tuples_are_never_marked(monkeypatch):
+    checked = []
+    real = matrixmc.check_mc_assumptions
+
+    def spy(at, mu):
+        checked.append(at)
+        return real(at, mu)
+
+    monkeypatch.setattr(matrixmc, "check_mc_assumptions", spy)
+    at = scalar_tuple(-8, 3, 5)
+    direct = MatrixTuple([RationalMatrix([[-4, 0], [0, -7]]),
+                          RationalMatrix([[1, 0], [0, 2]]),
+                          RationalMatrix([[3, 0], [0, 5]])])
+    triangular = MatrixTuple([RationalMatrix([[-4, -1], [0, -7]]),
+                              RationalMatrix([[1, 1], [0, 2]]),
+                              RationalMatrix([[3, 0], [0, 5]])])
+    built = [at, addition(at, (1, 2)), convolution(at, 3), direct, triangular]
+    mu = (frac(1, 2), frac(1, 3), frac(1, 5))
+    for tup in (direct, triangular):
+        built.append(middle_convolution(tup, mu))
+        assert checked[-1] is tup
+    # the direct sum's convolution splits; the triangular tuple is reducible
+    # although dim Z = 1, so dim Z alone could not have told it apart
+    assert joint_centralizer_dim(built[-2]) == 2
+    assert joint_centralizer_dim(triangular) == 1
+    _, rigid = construct_rigid_random(parse("111,111,21"), random.Random(9))
+    one = construct_rigid(Scheme(parse("1,1,1", trim=False),
+                                 ((frac(2),), (frac(3),), (frac(-5),))))
+    assert "irreducible" in rigid._facts and "irreducible" in one._facts
+    built.append(middle_convolution(rigid, (1, 2, -3)))  # total 0
+    built.append(middle_convolution(one, mu, check=False))
+    assert "irreducible" in middle_convolution(one, mu)._facts
+    assert not any("irreducible" in t._facts for t in built)
 
 
 def test_joint_centralizer_needs_no_zeroth_block():
