@@ -3,11 +3,11 @@ orbit dimensions, and addition / convolution / middle convolution.
 
 Everything is exact rational arithmetic.  The middle convolution of a tuple
 (A_0,...,A_k) with respect to parameters (mu_0,...,mu_k) shifts by -mu',
-builds the size-kn convolution blocks at the total parameter, passes to the
-quotient by the invariant subspace spanned by the blockwise kernels and the
-kernel of the zeroth block, and shifts by -mu' again; the eigenvalue
-multiplicity data of the result is the marked-column reduction of the input
-data when the parameter total is nonzero.
+reads each convolution block at the total parameter from its one nonzero
+n x kn block row, passes to the quotient by the invariant subspace spanned by
+the blockwise kernels and the kernel of the zeroth block, and shifts by -mu'
+again; the eigenvalue multiplicity data of the result is the marked-column
+reduction of the input data when the parameter total is nonzero.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ class McAssumptionError(ValueError):
         self.report = report
         super().__init__(
             "middle convolution assumptions violated: %s"
-            % "; ".join(
-                "%s at i=%d, tau=%s" % (kind, i, tau)
-                for kind, i, tau in report.violations
-            )
+            % "; ".join("%s at i=%d" % v for v in report.violations)
         )
 
 
@@ -364,40 +361,22 @@ def addition(at: MatrixTuple, shifts: Sequence) -> MatrixTuple:
 
 def convolution(at: MatrixTuple, lam) -> MatrixTuple:
     """Size-kn convolution blocks: block row j of G_j is (A_1,...,A_j+lam,
-    ...,A_k), all other rows zero; G_0 closes the sum to zero."""
-    lam = Fraction(lam)
-    n = at.size
-    k = at.k
-    blocks = []
-    for j in range(1, k + 1):
-        rows = [[Fraction(0)] * (k * n) for _ in range(k * n)]
-        for q in range(1, k + 1):
-            block = at.matrices[q]
-            for r in range(n):
-                for c in range(n):
-                    val = block.rows[r][c]
-                    if q == j and r == c:
-                        val = val + lam
-                    rows[(j - 1) * n + r][(q - 1) * n + c] = val
-        blocks.append(RationalMatrix(rows))
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = total + b
-    return MatrixTuple([-total] + blocks)
+    ...,A_k), all other rows zero; G_0 closes the sum to zero.  They are the
+    quotient by the empty span."""
+    return MatrixTuple(_quotient_tuple(hstack(at.matrices[1:]), Fraction(lam), []))
 
 
 @dataclass(frozen=True)
 class McReport:
     """Kernel/image condition check for middle convolution parameters.
 
-    A violation ("kernel", i, tau) means the common kernel of A_j - mu_j
-    (j != i) meets ker(A_0 - tau) nontrivially; ("image", i, tau) means the
-    corresponding image sum misses part of the space.  Only rational
-    eigenvalues tau of A_0 need checking; other tau satisfy both conditions
-    trivially.
+    A violation ("kernel", i) means that for some complex tau the common
+    kernel of A_j - mu_j (j != 0, i) meets ker(A_0 - tau) nontrivially;
+    ("image", i) means that for some tau the images of A_j - mu_j
+    (j != 0, i) and of A_0 - tau together miss part of the space.
     """
 
-    violations: tuple[tuple[str, int, Fraction], ...]
+    violations: tuple[tuple[str, int], ...]
 
     @property
     def ok(self) -> bool:
@@ -405,66 +384,82 @@ class McReport:
 
 
 def check_mc_assumptions(at: MatrixTuple, mu: Sequence) -> McReport:
+    """Both conditions at every complex tau, with no eigenvalue computed.
+
+    Let S and T stack the other A_j - mu_j vertically and side by side.  The
+    kernel of (S, S A_0, ..., S A_0^{n-1}) stacked is the largest A_0-stable
+    subspace of ker S, nonzero exactly when it holds an eigenvector of A_0;
+    dually (T, A_0 T, ..., A_0^{n-1} T) spans all of the space unless a left
+    eigenvector of A_0 annihilates im T.  With no other matrix (k = 1) both
+    conditions fail at each eigenvalue of A_0.
+    """
     mu = [Fraction(x) for x in mu]
     if len(mu) != at.k + 1:
         raise LinAlgError("need one parameter per matrix")
     n = at.size
-    taus = sorted(_rational_roots(at.matrices[0].charpoly()))
+    a0 = at.matrices[0]
     violations = []
     for i in range(1, at.k + 1):
-        others = [
-            at.matrices[j].shift(-mu[j])
-            for j in range(1, at.k + 1)
-            if j != i
-        ]
-        for tau in taus:
-            a0 = at.matrices[0].shift(-tau)
-            stack = vstack(others + [a0]) if others else a0
-            if stack.rank() < n:
-                violations.append(("kernel", i, tau))
-            spread = hstack(others + [a0]) if others else a0
-            if spread.rank() < n:
-                violations.append(("image", i, tau))
+        others = [at.matrices[j].shift(-mu[j]) for j in range(1, at.k + 1) if j != i]
+        if not others:
+            violations += [("kernel", i), ("image", i)]
+            continue
+        stack, spread = [vstack(others)], [hstack(others)]
+        for _ in range(n - 1):
+            stack.append(stack[-1] @ a0)
+            spread.append(a0 @ spread[-1])
+        if vstack(stack).rank() < n:
+            violations.append(("kernel", i))
+        if hstack(spread).rank() < n:
+            violations.append(("image", i))
     return McReport(tuple(violations))
 
 
-def _quotient_tuple(mats, space, size) -> list[RationalMatrix]:
-    """Action induced on the quotient by an invariant column-span.
+def _quotient_tuple(row, lam, space) -> list[RationalMatrix]:
+    """Convolution blocks G_0,...,G_k at ``lam`` modulo an invariant
+    column-span.
 
-    The spanning vectors are brought to reduced echelon form with their
-    pivots P on the last coordinates; the standard vectors at the other
-    coordinates N complete them to a basis.  Row a of C holds the N
+    ``row`` is hstack(A_1,...,A_k).  G_j (j >= 1) is zero outside block row
+    j, which is row + lam E_j, E_j the identity in block column j, and G_0 =
+    -(G_1 + ... + G_k).  The spanning vectors are brought to reduced echelon
+    form with their pivots P on the last coordinates; the standard vectors at
+    the other coordinates N complete them to a basis.  Row a of C holds the N
     coordinates of the echelon vector with pivot P[a], so that e_P[a] is
-    congruent to -C[a] modulo the span, and the quotient block reads
-    Q = G[N,N] - C^T G[P,N].  An empty span leaves the matrices unchanged.
+    congruent to -C[a] modulo the span, and the quotient map is pi = [I_N |
+    -C^T].  So Q_j = pi G_j[:, N] = pi_j (row + lam E_j)[:, N], pi_j the
+    columns of pi in block j.  The empty span gives the dense blocks.  At a
+    nonzero ``lam`` the spanning vectors must be independent.
     """
-    if not space:
-        return list(mats)
-    red, pivots = RationalMatrix([tuple(v)[::-1] for v in space]).rref()
-    r = len(pivots)
-    if r == size:
-        raise LinAlgError("middle convolution collapses to dimension zero")
-    basis = [row[::-1] for row in red.rows[:r]]
-    pivot_at = [size - 1 - c for c in pivots]
+    n, size = row.nrows, row.ncols
+    basis, pivot_at = [], []
+    if space:
+        red, pivots = RationalMatrix([tuple(v)[::-1] for v in space]).rref()
+        if lam and len(pivots) < len(space):
+            raise InvariantError(
+                "blockwise kernels meet the zeroth kernel at a nonzero total"
+            )
+        if len(pivots) == size:
+            raise LinAlgError("middle convolution collapses to dimension zero")
+        basis = [w[::-1] for w in red.rows[: len(pivots)]]
+        pivot_at = [size - 1 - c for c in pivots]
     free = sorted(set(range(size)) - set(pivot_at))
-    cs = [[w[i] for i in free] for w in basis]
-
-    def residual(v):
-        """Coordinates of v modulo the span, in the basis e_N."""
-        out = [v[i] for i in free]
-        for p, c in zip(pivot_at, cs):
-            if v[p]:
-                out = [u - v[p] * x for u, x in zip(out, c)]
-        return out
-
-    span = RationalMatrix(zip(*basis))
+    span = RationalMatrix(zip(*basis)) if basis else None
+    # column q of pi is the class of e_q: a unit vector, or -C[a] at q = P[a]
+    pi = {q: [Fraction(int(q == f)) for f in free] for q in free}
+    pi.update((q, [-w[f] for f in free]) for q, w in zip(pivot_at, basis))
     out = []
-    for g in mats:
-        if any(any(residual(image)) for image in zip(*(g @ span).rows)):
+    for j in range(0, size, n):
+        g = RationalMatrix(
+            tuple(x + lam if c == j + r else x for c, x in enumerate(w))
+            for r, w in enumerate(row.rows)
+        )
+        pj = RationalMatrix(zip(*(pi[q] for q in range(j, j + n))))
+        # G_j keeps the span iff pi G_j vanishes on it; G_0 = -(G_1 + ... +
+        # G_k) then keeps it too, so it needs no product of its own
+        if span is not None and not (pj @ (g @ span)).is_zero():
             raise InvariantError("subspace is not invariant")
-        cols = tuple(zip(*g.rows))
-        out.append(RationalMatrix(zip(*(residual(cols[j]) for j in free))))
-    return out
+        out.append(pj @ RationalMatrix([w[c] for c in free] for w in g.rows))
+    return [-sum(out[1:], out[0])] + out
 
 
 def middle_convolution(
@@ -472,9 +467,10 @@ def middle_convolution(
 ) -> MatrixTuple:
     """Middle convolution with parameters (mu_0,...,mu_k).
 
-    Shift by minus (mu_1,...,mu_k), convolve at the parameter total, divide
-    out the blockwise kernels plus the kernel of the zeroth block, shift
-    again.  Unless the input is known irreducible of size > 1, ``check``
+    Shift by minus (mu_1,...,mu_k), read the convolution blocks at the
+    parameter total from their block row, divide out the blockwise kernels
+    plus the kernel of the zeroth block, shift again; no kn x kn block is
+    formed.  Unless the input is known irreducible of size > 1, ``check``
     verifies the kernel/image conditions first; a violation raises
     :class:`McAssumptionError`.  The output is known irreducible when the
     input is, the total is nonzero and the conditions hold (Dettweiler-Reiter).
@@ -495,23 +491,23 @@ def middle_convolution(
     shifts = [-x for x in mu[1:]]
     shifted = addition(at, shifts)
     total = sum(mu)
-    conv = convolution(shifted, total)
-    n = at.size
-    k = at.k
-    blockwise: list[tuple[Fraction, ...]] = []
-    for j in range(1, k + 1):
-        for vec in shifted.matrices[j].nullspace():
-            embedded = [Fraction(0)] * (k * n)
-            embedded[(j - 1) * n : j * n] = list(vec)
-            blockwise.append(tuple(embedded))
-    zeroth = conv.matrices[0].nullspace()
-    space = blockwise + zeroth
-    if total != 0 and space and RationalMatrix(space).rank() < len(space):
-        raise InvariantError(
-            "blockwise kernels meet the zeroth kernel at a nonzero total"
-        )
-    reduced = _quotient_tuple(conv.matrices, space, k * n)
-    out = addition(MatrixTuple(reduced), shifts)
+    n, k = at.size, at.k
+    row = hstack(shifted.matrices[1:])
+    space = [
+        (0,) * (j * n) + vec + (0,) * ((k - 1 - j) * n)
+        for j, a in enumerate(shifted.matrices[1:])
+        for vec in a.nullspace()
+    ]
+    # Block row j of G_0 v is -(row v + total v_j).  At a nonzero total all
+    # v_j are then one w, row v = -(shifted A_0) w and (A_0 - mu_0) w = 0: ker
+    # G_0 is the diagonal copies of ker(A_0 - mu_0).  At total 0 it is
+    # ker(row).  Either basis has the free columns and the unit entries of
+    # the rref null-space basis of the kn x kn G_0, so it is that basis.
+    if total:
+        space += [vec * k for vec in at.matrices[0].shift(-mu[0]).nullspace()]
+    else:
+        space += row.nullspace()
+    out = addition(MatrixTuple(_quotient_tuple(row, total, space)), shifts)
     if "irreducible" in at._facts and total != 0 and (check or known):
         out._facts["irreducible"] = True
     return out

@@ -32,7 +32,7 @@ from midconv.matrixmc import (
     spectral_data_of,
     tuple_spectral_data,
 )
-from midconv.spectype import parse
+from midconv.spectype import InvariantError, parse
 from test_acceptance import _predicted_output
 
 
@@ -432,6 +432,112 @@ def test_convolution_blocks():
     assert all(x == 0 for x in g.matrices[1].rows[1])
 
 
+def _dense_blocks(at, lam):
+    """The convolution blocks as the dense kn x kn matrices they are."""
+    n, k = at.size, at.k
+    blocks = []
+    for j in range(k):
+        rows = [[Fraction(0)] * (k * n) for _ in range(k * n)]
+        for q, a in enumerate(at.matrices[1:]):
+            for r in range(n):
+                for c in range(n):
+                    shift = lam if (q, r) == (j, c) else 0
+                    rows[j * n + r][q * n + c] = a.rows[r][c] + shift
+        blocks.append(RationalMatrix(rows))
+    return [-sum(blocks[1:], blocks[0])] + blocks
+
+
+def _dense_middle_convolution(at, mu):
+    """Reference for the block-row path, unchecked: the blocks, the kernel of
+    G_0 and the independence rank at size kn, and the quotient read column
+    by column from the dense blocks."""
+    mu = [Fraction(x) for x in mu]
+    shifts = [-x for x in mu[1:]]
+    shifted = addition(at, shifts)
+    total = sum(mu)
+    mats = _dense_blocks(shifted, total)
+    n, k = at.size, at.k
+    size = k * n
+    space = [
+        (0,) * (j * n) + vec + (0,) * ((k - 1 - j) * n)
+        for j, a in enumerate(shifted.matrices[1:])
+        for vec in a.nullspace()
+    ] + mats[0].nullspace()
+    if total != 0 and space and RationalMatrix(space).rank() < len(space):
+        raise InvariantError(
+            "blockwise kernels meet the zeroth kernel at a nonzero total"
+        )
+    if space:
+        red, pivots = RationalMatrix([v[::-1] for v in space]).rref()
+        if len(pivots) == size:
+            raise LinAlgError("middle convolution collapses to dimension zero")
+        basis = [w[::-1] for w in red.rows[: len(pivots)]]
+        pivot_at = [size - 1 - c for c in pivots]
+        free = [c for c in range(size) if c not in pivot_at]
+
+        def residual(v):
+            out = [v[f] for f in free]
+            for p, w in zip(pivot_at, basis):
+                out = [x - v[p] * w[f] for x, f in zip(out, free)]
+            return out
+
+        span = RationalMatrix(zip(*basis))
+        for g in mats:
+            if any(any(residual(col)) for col in zip(*(g @ span).rows)):
+                raise InvariantError("subspace is not invariant")
+        mats = [
+            RationalMatrix(zip(*(residual(tuple(zip(*g.rows))[f]) for f in free)))
+            for g in mats
+        ]
+    return addition(MatrixTuple(mats), shifts)
+
+
+def test_block_row_path_matches_the_dense_blocks():
+    """Seeded tuples of size 1..4 with k = 1..3, most matrices of low rank
+    and about a third at parameter total 0: the block-row quotient gives the
+    dense reference's tuple, or its error with the same message."""
+    rng = random.Random(19)
+    seen = {"collapses": 0, "total 0": 0, "quotient": 0, "k": set()}
+    for _ in range(400):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        mats = []
+        for _ in range(k):
+            # a product n x r times r x n has rank at most r
+            r = rng.randint(0, n - 1) if rng.random() < 0.6 else n
+            m = RationalMatrix([[0] * n] * n)
+            if r:
+                m = RationalMatrix(
+                    [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+                ) @ RationalMatrix(
+                    [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+                )
+            mats.append(m)
+        at = MatrixTuple([-sum(mats[1:], mats[0])] + mats)
+        mu = [Fraction(0) if rng.random() < 0.5
+              else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+              for _ in range(k + 1)]
+        if rng.random() < 0.3:
+            mu[0] = -sum(mu[1:])
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert convolution(at, lam) == MatrixTuple(_dense_blocks(at, lam))
+        results = []
+        for mc in (lambda: middle_convolution(at, mu, check=False),
+                   lambda: _dense_middle_convolution(at, mu)):
+            try:
+                results.append(mc())
+            except (LinAlgError, InvariantError) as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1]
+        seen["k"].add(k)
+        if isinstance(results[0], tuple):
+            seen["collapses"] += "collapses" in results[0][1]
+        else:
+            seen["quotient"] += results[0].size < n * k
+            seen["total 0"] += sum(mu) == 0
+    assert seen["k"] == {1, 2, 3}
+    assert min(seen["collapses"], seen["total 0"], seen["quotient"]) > 20
+
+
 def hypergeometric_expected(l1, l2, mu):
     total = sum(mu)
     rows = [
@@ -483,8 +589,8 @@ def test_check_assumptions_pass_for_irreducible():
 
 
 def test_middle_convolution_with_irrational_zeroth_eigenvalues():
-    # A_0 has characteristic polynomial x^2 + 4x + 5; its non-rational
-    # eigenvalues satisfy the kernel/image conditions trivially
+    # A_0 has characteristic polynomial x^2 + 4x + 5; both conditions hold
+    # at its non-rational eigenvalues
     a1 = RationalMatrix([[0, -2], [1, 0]])
     a2 = RationalMatrix([[1, 0], [0, 3]])
     at = MatrixTuple([-(a1 + a2), a1, a2])
@@ -495,6 +601,16 @@ def test_middle_convolution_with_irrational_zeroth_eigenvalues():
     # no spectrum of this tuple splits: centralizers come from commutators
     dims = orbit_dims(at)
     assert (dims.dim_centralizer, dims.index, dims.pidx) == (1, 2, 0)
+    # with A_2 = 3 I and mu_2 = 3 the kernel condition at i = 1 fails at each
+    # eigenvalue -3 +- i sqrt(2) of A_0, the image condition with it
+    a2 = RationalMatrix.identity(2).scale(3)
+    at = MatrixTuple([-(a1 + a2), a1, a2])
+    violations = (("kernel", 1), ("image", 1))
+    assert check_mc_assumptions(at, (1, 2, 3)).violations == violations
+    with pytest.raises(McAssumptionError, match="kernel at i=1; image at i=1$"):
+        middle_convolution(at, (1, 2, 3))
+    # with no other matrix (k = 1) both fail at every tuple
+    assert check_mc_assumptions(MatrixTuple([-a1, a1]), (0, 0)).violations == violations
 
 
 def test_check_assumptions_named_violation():
@@ -502,9 +618,9 @@ def test_check_assumptions_named_violation():
     a2 = RationalMatrix([[0, 0], [0, 2]])
     at = MatrixTuple([-(a1 + a2), a1, a2])
     report = check_mc_assumptions(at, (0, 0, 0))
-    assert not report.ok
-    kinds = {(kind, i) for kind, i, _ in report.violations}
-    assert ("kernel", 1) in kinds and ("kernel", 2) in kinds
+    assert report.violations == (
+        ("kernel", 1), ("image", 1), ("kernel", 2), ("image", 2)
+    )
     with pytest.raises(McAssumptionError):
         middle_convolution(at, (0, 0, 0))
 

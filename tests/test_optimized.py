@@ -37,8 +37,9 @@ try:
 except InvariantError:
     pass
 try:
-    # e_2 is not invariant under the nilpotent Jordan block
-    _quotient_tuple([RationalMatrix([[0, 1], [0, 0]])], [(0, 1)], 2)
+    # G_1 is the nilpotent Jordan block (k = 1, lam = 0): G_1 e_2 = e_1
+    # leaves the span of e_2
+    _quotient_tuple(RationalMatrix([[0, 1], [0, 0]]), Fraction(0), [(0, 1)])
     sys.exit("non-invariant subspace not detected")
 except InvariantError:
     pass
