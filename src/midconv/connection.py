@@ -13,9 +13,8 @@ family evaluates the limit of (1-x)^b * nFn-1(x) as x tends to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .katz import (
     Scheme, SchemeError, Terminal, _column_sum, _grid_sub, _sub_grids, reduce_rows
@@ -58,11 +57,6 @@ class RiemannScheme(Scheme):
         if shape.npart != 3:
             raise SchemeError("a Riemann scheme here has exactly three points")
         super().__init__(shape, eigenvalues)
-
-    @classmethod
-    def generic(cls, shape: SpectralType, prefix: str = "l") -> "RiemannScheme":
-        base = Scheme.generic(shape, prefix)
-        return cls(shape, base.eigenvalues)
 
     def normalized(self, pin0: int | None = None, pin1: int | None = None):
         """Shift exponents so the pinned columns at the first two points
@@ -126,11 +120,10 @@ def rigid_decompositions(
     # real root with nonnegative entries, hence rigid.  So the search keeps
     # the sub-grids with (m', m) = 1, and only m' needs the kernel.
     n = m.order
+    pins = ((0, pin0 - 1, 1), (1, pin1 - 1, 0))
     out = []
     for s in range(1, n):
-        for first in _sub_grids(m.partitions, s, m.partitions, s * n + 1):
-            if first[0][pin0 - 1] != 1 or first[1][pin1 - 1] != 0:
-                continue
+        for first in _sub_grids(m.partitions, s, m.partitions, s * n + 1, pins):
             if _is_rigid_grid(first):
                 pair = (first, _grid_sub(m.partitions, first))
                 out.append(tuple(SpectralType(g, trim=False) for g in pair))
@@ -138,8 +131,7 @@ def rigid_decompositions(
     return out
 
 
-@dataclass(frozen=True)
-class GammaFormula:
+class GammaFormula(NamedTuple):
     """Product of gamma values over the numerator forms divided by the
     product over the denominator forms."""
 

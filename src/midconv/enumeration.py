@@ -18,8 +18,7 @@ of partitions; orders of basic tuples of index p are bounded by 6 - 3p.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .katz import Terminal, reduce_rows
 from .spectype import SpectralType, to_text
@@ -115,8 +114,7 @@ def _multisets(weights, total, extra_cap=None, extras=None, first=None):
     return results
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Deduplicated canonical classes plus counts."""
 
     kind: str  # "rigid" or "basic"
@@ -126,6 +124,8 @@ class EnumerationReport:
     by_npart: tuple[tuple[int, int], ...]  # (#partitions, count), sorted
 
     def count(self, npart: int) -> int:
+        """Number of classes with ``npart`` partitions; shadows
+        ``tuple.count``."""
         return dict(self.by_npart).get(npart, 0)
 
     def to_lines(self) -> list[str]:
@@ -183,6 +183,8 @@ def enumerate_rigid(
             % (n, max_order)
         )
     if jobs > 1:
+        import multiprocessing
+
         firsts = range(len(_nontrivial_partitions(n, n * n)))
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.starmap(_rigid_grids, [(n, f) for f in firsts], chunksize=1)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -205,8 +204,7 @@ class Verdict(enum.Enum):
     NOT_REALIZABLE = "not-realizable"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     m: SpectralType
     ells: tuple[int, ...]
     d: int
@@ -222,8 +220,7 @@ class ReductionStep:
         return data
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[ReductionStep, ...]
     verdict: Verdict
     terminal: SpectralType
@@ -276,8 +273,7 @@ def reduce(m: SpectralType) -> ReductionTrace:
         return ReductionTrace(tuple(steps), _verdict(terminal, rows), cur)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     indivisible: bool
     rigid: bool
     irreducibly_realizable: bool
@@ -285,13 +281,7 @@ class Classification:
     fundamental: bool
 
     def to_json(self) -> dict:
-        return {
-            "indivisible": self.indivisible,
-            "rigid": self.rigid,
-            "irreducibly_realizable": self.irreducibly_realizable,
-            "basic": self.basic,
-            "fundamental": self.fundamental,
-        }
+        return self._asdict()
 
 
 def classify(
@@ -449,13 +439,13 @@ class Scheme:
         raise AttributeError("Scheme is immutable")
 
     @classmethod
-    def generic(cls, shape: SpectralType, prefix: str = "l") -> "Scheme":
-        """Scheme with an independent parameter per column."""
+    def generic(cls, shape: SpectralType) -> "Scheme":
+        """Scheme with an independent parameter ``l<j>_<v>`` per column."""
         return cls(
             shape,
             tuple(
                 tuple(
-                    ParamForm.var("%s%d_%d" % (prefix, j, v + 1))
+                    ParamForm.var("l%d_%d" % (j, v + 1))
                     for v in range(len(row))
                 )
                 for j, row in enumerate(shape.partitions)
@@ -518,9 +508,10 @@ def _grid_sub(a, b):
     return tuple(rows)
 
 
-def _sub_grids(rows, s: int, weights, target: int) -> list[tuple]:
-    """Componentwise sub-grids of ``rows`` whose rows each sum to ``s`` and
-    whose weighted total (integer weights, one per column) is ``target``.
+def _sub_grids(rows, s: int, weights, target: int, fixed=()) -> list[tuple]:
+    """Componentwise sub-grids of ``rows`` whose rows each sum to ``s``,
+    whose weighted total (integer weights, one per column) is ``target``,
+    and which carry ``value`` at every (row, column, value) in ``fixed``.
 
     The last row is resolved by hash lookup on the needed complement, the
     others by depth-first search pruned with achievable-range bounds.
@@ -534,6 +525,10 @@ def _sub_grids(rows, s: int, weights, target: int) -> list[tuple]:
         if not opts:
             return []
         options.append(opts)
+    for j, c, v in fixed:
+        options[j] = [o for o in options[j] if o[0][c] == v]
+        if not options[j]:
+            return []
     depth = len(options) - 1
     lo = [sum(min(v for _, v in o) for o in options[j:]) for j in range(depth)]
     hi = [sum(max(v for _, v in o) for o in options[j:]) for j in range(depth)]

@@ -13,9 +13,8 @@ reduction of the input data when the parameter total is nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .katz import Scheme, Terminal, reduce_rows
 from .linalg import LinAlgError, RationalMatrix, hstack, vstack
@@ -44,8 +43,8 @@ class DegenerateSchemeError(ValueError):
 class MatrixTuple:
     """Square rational matrices (A_0,...,A_k) of equal size with zero sum."""
 
-    # _facts: "spectral" (spectral data), "z" (dim Z) and "irreducible", each
-    # written once by the routine that proves, computes or constructs it
+    # _facts: "spectral" (spectral data) and "irreducible", each written once
+    # by the routine that proves, computes or constructs it
     __slots__ = ("matrices", "_facts")
 
     def __init__(self, matrices: Sequence[RationalMatrix]):
@@ -212,8 +211,7 @@ def rational_eigenvalues(a: RationalMatrix) -> dict[Fraction, int]:
     return found
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Per-eigenvalue multiplicity partitions of one matrix, sorted by
     eigenvalue.  The partition entry t counts rank (A-e)^{t-1} minus rank
     (A-e)^t, so it is automatically non-increasing."""
@@ -297,24 +295,22 @@ def centralizer_dim(a: RationalMatrix, *, bound: int = 12) -> int:
 def joint_centralizer_dim(at: MatrixTuple, *, bound: int = 12) -> int:
     if "irreducible" in at._facts:
         return 1  # Schur
-    if "z" not in at._facts:
-        if at.size > bound:
-            raise LinAlgError("size %d exceeds bound %d" % (at.size, bound))
-        # A_0 = -(A_1 + ... + A_k): whatever commutes with A_1..A_k commutes
-        # with A_0, so its block adds nothing to the stack
-        stacked = vstack([_commutator_matrix(m) for m in at.matrices[1:]])
-        at._facts["z"] = at.size ** 2 - stacked.rank()
-    return at._facts["z"]
+    if at.size > bound:
+        raise LinAlgError("size %d exceeds bound %d" % (at.size, bound))
+    # A_0 = -(A_1 + ... + A_k): whatever commutes with A_1..A_k commutes
+    # with A_0, so its block adds nothing to the stack
+    stacked = vstack([_commutator_matrix(m) for m in at.matrices[1:]])
+    return at.size ** 2 - stacked.rank()
 
 
-@dataclass(frozen=True)
-class OrbitDims:
+class OrbitDims(NamedTuple):
     """Dimension bookkeeping for a zero-sum tuple.
 
     ``dim_classes_orbit`` is the manifold of tuples with the same local
     conjugacy classes and the same sum; ``dim_conj_orbit`` the simultaneous
     conjugation orbit.  Their gap is even and vanishes exactly in the rigid
-    irreducible case (index 2).
+    irreducible case (index 2).  The field ``index`` is the self-index; it
+    shadows ``tuple.index``.
     """
 
     dim_centralizer: int
@@ -324,13 +320,7 @@ class OrbitDims:
     dim_classes_orbit: int
 
     def to_json(self) -> dict:
-        return {
-            "dim_centralizer": self.dim_centralizer,
-            "index": self.index,
-            "pidx": self.pidx,
-            "dim_conj_orbit": self.dim_conj_orbit,
-            "dim_classes_orbit": self.dim_classes_orbit,
-        }
+        return self._asdict()
 
 
 def orbit_dims(at: MatrixTuple, *, bound: int = 12) -> OrbitDims:
@@ -366,8 +356,7 @@ def convolution(at: MatrixTuple, lam) -> MatrixTuple:
     return MatrixTuple(_quotient_tuple(hstack(at.matrices[1:]), Fraction(lam), []))
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     """Kernel/image condition check for middle convolution parameters.
 
     A violation ("kernel", i) means that for some complex tau the common

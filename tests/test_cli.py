@@ -200,7 +200,7 @@ import sys
 
 import midconv, midconv.cli
 
-loaded = sorted({"sympy", "numpy"} & set(sys.modules))
+loaded = sorted({"sympy", "numpy", "dataclasses", "multiprocessing"} & set(sys.modules))
 if loaded:
     sys.exit("loaded on import: %s" % loaded)
 from midconv.connection import series_limit_oracle
@@ -212,7 +212,7 @@ print("ok")
 """
 
 
-def test_cold_import_loads_neither_sympy_nor_numpy():
+def test_cold_import_loads_no_sympy_numpy_dataclasses_or_multiprocessing():
     src = str(Path(midconv.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

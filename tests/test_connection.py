@@ -46,6 +46,7 @@ def gauss_substitution_scheme(n):
 
 def test_fuchs_value_examples():
     scheme = RiemannScheme.generic(parse("11,11,11"))
+    assert isinstance(scheme, RiemannScheme)
     ords1 = SpectralType(((0, 1), (1, 0), (1, 0)), trim=False)
     piece = fuchs_value(scheme, ords1)
     assert piece == var("l0_2") + var("l1_1") + var("l2_1")
