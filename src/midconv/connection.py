@@ -118,15 +118,16 @@ def rigid_decompositions(
     # (m', m) = 1.  Conversely, if m' is rigid and (m', m) = 1, then
     # m'' = m - (m', m) m' is the reflection of the real root m in m': a
     # real root with nonnegative entries, hence rigid.  So the search keeps
-    # the sub-grids with (m', m) = 1, and only m' needs the kernel.
+    # the sub-grids with (m', m) = 1, and only m' needs the kernel.  Row 0
+    # of m' sums to s, so weighting it by m_{0,v} - n takes in the - s * n.
     n = m.order
+    weights = (tuple(p - n for p in m.partitions[0]),) + m.partitions[1:]
     pins = ((0, pin0 - 1, 1), (1, pin1 - 1, 0))
     out = []
-    for s in range(1, n):
-        for first in _sub_grids(m.partitions, s, m.partitions, s * n + 1, pins):
-            if _is_rigid_grid(first):
-                pair = (first, _grid_sub(m.partitions, first))
-                out.append(tuple(SpectralType(g, trim=False) for g in pair))
+    for first in _sub_grids(m.partitions, weights, 1, pins):
+        if _is_rigid_grid(first):
+            pair = (first, _grid_sub(m.partitions, first))
+            out.append(tuple(SpectralType(g, trim=False) for g in pair))
     out.sort(key=lambda pair: pair[0].partitions)
     return out
 

@@ -14,6 +14,7 @@ concrete rational eigenvalues.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -23,6 +24,7 @@ from .spectype import (
     InvariantError,
     SpectralType,
     SpectralTypeError,
+    _aligned_rows,
     canonicalize,
     gcd_of,
     idx,
@@ -335,14 +337,10 @@ def reflect_by_rigid(
             % (m.order, c, mr.order)
         )
     rows = []
-    nrows = max(m.npart, mr.npart)
-    for j in range(nrows):
-        p = m.partitions[j] if j < m.npart else (m.order,)
-        q = mr.partitions[j] if j < mr.npart else (mr.order,)
-        width = max(len(p), len(q))
-        p = p + (0,) * (width - len(p))
-        q = q + (0,) * (width - len(q))
-        row = tuple(a - c * b for a, b in zip(p, q))
+    for j, (p, q) in enumerate(_aligned_rows(m, mr)):
+        row = tuple(
+            a - c * b for a, b in itertools.zip_longest(p, q, fillvalue=0)
+        )
         if any(x < 0 for x in row):
             raise SpectralTypeError(
                 "reflection of %s by %s leaves partition %d negative"
@@ -477,24 +475,12 @@ class Scheme:
         return "Scheme(%r, %r)" % (self.shape, self.eigenvalues)
 
 
-def _sub_rows(row: Sequence[int], s: int) -> list[tuple[int, ...]]:
-    """Componentwise sub-rows of ``row`` with sum ``s``."""
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(i: int, left: int):
-        if i == len(row):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        if left > sum(row[i:]):
-            return
-        for c in range(min(row[i], left), -1, -1):
-            acc.append(c)
-            rec(i + 1, left - c)
-            acc.pop()
-
-    rec(0, s)
+def _sub_rows(row: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
+    """Componentwise sub-rows of ``row`` keyed by their sum, each list in
+    descending lexicographic order."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for sub in itertools.product(*(range(p, -1, -1) for p in row)):
+        out.setdefault(sum(sub), []).append(sub)
     return out
 
 
@@ -508,49 +494,53 @@ def _grid_sub(a, b):
     return tuple(rows)
 
 
-def _sub_grids(rows, s: int, weights, target: int, fixed=()) -> list[tuple]:
-    """Componentwise sub-grids of ``rows`` whose rows each sum to ``s``,
-    whose weighted total (integer weights, one per column) is ``target``,
-    and which carry ``value`` at every (row, column, value) in ``fixed``.
+def _sub_grids(rows, weights, target: int, fixed=()) -> list[tuple]:
+    """Componentwise sub-grids of ``rows`` whose rows share a sum s with
+    0 < s < order, whose weighted total (integer weights, one per column)
+    is ``target``, and which carry ``value`` at every (row, column, value)
+    in ``fixed``; listed by increasing s.
 
-    The last row is resolved by hash lookup on the needed complement, the
-    others by depth-first search pruned with achievable-range bounds.
+    Each row's sub-rows are listed once.  For each s the last row is
+    resolved by hash lookup on the needed complement, the others by
+    depth-first search pruned with achievable-range bounds.
     """
-    options = []
-    for row, wrow in zip(rows, weights):
-        opts = [
-            (sub, sum(c * w for c, w in zip(sub, wrow) if c))
-            for sub in _sub_rows(row, s)
-        ]
-        if not opts:
-            return []
-        options.append(opts)
-    for j, c, v in fixed:
-        options[j] = [o for o in options[j] if o[0][c] == v]
-        if not options[j]:
-            return []
-    depth = len(options) - 1
-    lo = [sum(min(v for _, v in o) for o in options[j:]) for j in range(depth)]
-    hi = [sum(max(v for _, v in o) for o in options[j:]) for j in range(depth)]
-    last_index: dict[int, list[tuple[int, ...]]] = {}
-    for sub, val in options[-1]:
-        last_index.setdefault(val, []).append(sub)
+    by_sum = []
+    for j, (row, wrow) in enumerate(zip(rows, weights)):
+        pins = [(c, v) for i, c, v in fixed if i == j]
+        by_sum.append({
+            s: [
+                (sub, sum(c * w for c, w in zip(sub, wrow) if c))
+                for sub in subs
+                if all(sub[c] == v for c, v in pins)
+            ]
+            for s, subs in _sub_rows(row).items()
+        })
     grids = []
     chosen: list[tuple[int, ...]] = []
+    depth = len(rows) - 1
+    for s in range(1, sum(rows[0])):
+        options = [opts.get(s) for opts in by_sum]
+        if not all(options):
+            continue
+        lo = [sum(min(v for _, v in o) for o in options[j:]) for j in range(depth)]
+        hi = [sum(max(v for _, v in o) for o in options[j:]) for j in range(depth)]
+        last_index: dict[int, list[tuple[int, ...]]] = {}
+        for sub, val in options[-1]:
+            last_index.setdefault(val, []).append(sub)
 
-    def rec(j, total):
-        if j == depth:
-            for sub in last_index.get(target - total, ()):
-                grids.append(tuple(chosen) + (sub,))
-            return
-        if total + lo[j] > target or total + hi[j] < target:
-            return
-        for sub, val in options[j]:
-            chosen.append(sub)
-            rec(j + 1, total + val)
-            chosen.pop()
+        def rec(j, total):
+            if j == depth:
+                for sub in last_index.get(target - total, ()):
+                    grids.append(tuple(chosen) + (sub,))
+                return
+            if total + lo[j] > target or total + hi[j] < target:
+                return
+            for sub, val in options[j]:
+                chosen.append(sub)
+                rec(j + 1, total + val)
+                chosen.pop()
 
-    rec(0, 0)
+        rec(0, 0)
     return grids
 
 
@@ -580,11 +570,11 @@ def ds_existence(s: Scheme, *, bound: int = 12) -> bool:
     lam = s.constant_table()
     den = math.lcm(*(l.denominator for lrow in lam for l in lrow))
     ilam = [[int(l * den) for l in lrow] for lrow in lam]
-    candidates = []
-    for size in range(1, m.order):
-        for grid in _sub_grids(m.partitions, size, ilam, 0):
-            if reduce_rows(grid, size).terminal is not Terminal.VIOLATION:
-                candidates.append((grid, pidx(SpectralType(grid, trim=False))))
+    candidates = [
+        (grid, pidx(SpectralType(grid, trim=False)))
+        for grid in _sub_grids(m.partitions, ilam, 0)
+        if reduce_rows(grid, sum(grid[0])).terminal is not Terminal.VIOLATION
+    ]
     candidates.sort()
     target = pidx(m)
     full = tuple(m.partitions)

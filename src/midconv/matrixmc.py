@@ -478,20 +478,21 @@ def middle_convolution(
         if not report.ok:
             raise McAssumptionError(report)
     shifts = [-x for x in mu[1:]]
-    shifted = addition(at, shifts)
+    shifted = [a.shift(s) for a, s in zip(at.matrices[1:], shifts)]
     total = sum(mu)
     n, k = at.size, at.k
-    row = hstack(shifted.matrices[1:])
+    row = hstack(shifted)
     space = [
         (0,) * (j * n) + vec + (0,) * ((k - 1 - j) * n)
-        for j, a in enumerate(shifted.matrices[1:])
+        for j, a in enumerate(shifted)
         for vec in a.nullspace()
     ]
     # Block row j of G_0 v is -(row v + total v_j).  At a nonzero total all
-    # v_j are then one w, row v = -(shifted A_0) w and (A_0 - mu_0) w = 0: ker
-    # G_0 is the diagonal copies of ker(A_0 - mu_0).  At total 0 it is
-    # ker(row).  Either basis has the free columns and the unit entries of
-    # the rref null-space basis of the kn x kn G_0, so it is that basis.
+    # v_j are then one w, row v = -(A_0 + mu_1 + ... + mu_k) w and
+    # (A_0 - mu_0) w = 0: ker G_0 is the diagonal copies of ker(A_0 - mu_0).
+    # At total 0 it is ker(row).  Either basis has the free columns and the
+    # unit entries of the rref null-space basis of the kn x kn G_0, so it is
+    # that basis.
     if total:
         space += [vec * k for vec in at.matrices[0].shift(-mu[0]).nullspace()]
     else:

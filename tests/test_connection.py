@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -123,7 +124,9 @@ def _two_kernel_decompositions(m, pin0, pin1):
     proves both it and its complement rigid."""
     out = []
     for s in range(1, m.order):
-        for first in itertools.product(*(_sub_rows(r, s) for r in m.partitions)):
+        for first in itertools.product(
+            *(_sub_rows(r).get(s, []) for r in m.partitions)
+        ):
             if first[0][pin0 - 1] != 1 or first[1][pin1 - 1] != 0:
                 continue
             second = tuple(
@@ -138,30 +141,60 @@ def _two_kernel_decompositions(m, pin0, pin1):
     return sorted(out)
 
 
-def test_rigid_decompositions_match_the_two_kernel_rule():
-    # every pin pair with multiplicity one, on every ordering of the
-    # partitions of every three-point rigid class up to order 7
-    pairs = 0
+def _pinned_arrangements():
+    """Every pin pair with multiplicity one, on every ordering of the
+    partitions of every three-point rigid class up to order 7."""
     for n in range(2, 8):
         for m in enumerate_rigid(n).items:
             if m.npart != 3:
                 continue
             for arr in sorted(set(itertools.permutations(m.partitions))):
-                shape = SpectralType(arr, trim=False)
                 for pin0, pin1 in itertools.product(
                     *(
                         [v + 1 for v, p in enumerate(row) if p == 1]
                         for row in arr[:2]
                     )
                 ):
-                    got = [
-                        (a.partitions, b.partitions)
-                        for a, b in rigid_decompositions(shape, pin0, pin1)
-                    ]
-                    want = _two_kernel_decompositions(shape, pin0, pin1)
-                    assert got == want, (arr, pin0, pin1)
-                    assert len(got) == len(arr[0]) + len(arr[1]) - 2
-                    pairs += 1
+                    yield SpectralType(arr, trim=False), pin0, pin1
+
+
+def test_rigid_decompositions_match_the_two_kernel_rule():
+    pairs = 0
+    for shape, pin0, pin1 in _pinned_arrangements():
+        arr = shape.partitions
+        got = [
+            (a.partitions, b.partitions)
+            for a, b in rigid_decompositions(shape, pin0, pin1)
+        ]
+        want = _two_kernel_decompositions(shape, pin0, pin1)
+        assert got == want, (arr, pin0, pin1)
+        assert len(got) == len(arr[0]) + len(arr[1]) - 2
+        pairs += 1
+    assert pairs == 556
+
+
+def test_reverse_connection_formula_pairs_every_factor():
+    """With the first two points swapped, each numerator form f becomes
+    1 - f and each denominator form g becomes 1 - g + (Fuchs value of the
+    scheme): the reverse decompositions are the swapped pairs (m'', m').
+    A flipped pin condition is symmetric under the swap, so this test does
+    not see it; the two-kernel rule above does."""
+    pairs = 0
+    for shape, pin0, pin1 in _pinned_arrangements():
+        scheme = RiemannScheme.generic(shape)
+        rows, ev = shape.partitions, scheme.eigenvalues
+        swapped = RiemannScheme(
+            SpectralType((rows[1], rows[0], rows[2]), trim=False),
+            (ev[1], ev[0], ev[2]),
+        )
+        c = connection_formula(scheme, pin0, pin1)
+        r = connection_formula(swapped, pin1, pin0)
+        fuchs = fuchs_value(scheme)
+        assert Counter(1 - f for f in c.num) == Counter(r.num), (shape, pin0, pin1)
+        assert Counter(1 - g + fuchs for g in c.den) == Counter(r.den), (
+            shape, pin0, pin1,
+        )
+        pairs += 1
     assert pairs == 556
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from midconv.katz import (
     SchemeError,
     Verdict,
     WellDefinednessViolation,
+    _sub_grids,
     classify,
     d_ell,
     dmax_value,
@@ -30,7 +33,7 @@ from midconv.spectype import (
     unit_at,
 )
 
-from test_spectype import random_tuple
+from test_spectype import random_partition, random_tuple
 
 
 def test_d_ell_examples():
@@ -201,6 +204,64 @@ def test_nilpotent_realizable():
     assert not nilpotent_realizable(parse("11,11,11"))
     assert nilpotent_realizable(parse("1"))
     assert nilpotent_realizable(parse("111,111,111"))
+
+
+def _weighted(grid, weights):
+    return sum(c * w for row, wrow in zip(grid, weights) for c, w in zip(row, wrow))
+
+
+def _all_sub_rows(row):
+    return list(itertools.product(*(range(p + 1) for p in row)))
+
+
+def _brute_sub_grids(rows, weights, target, fixed):
+    """Every sub-grid whose rows share a sum s with 0 < s < order, by plain
+    products over each row's entries, filtered by pins and total."""
+    subs = [_all_sub_rows(row) for row in rows]
+    out = []
+    for s in range(1, sum(rows[0])):
+        for grid in itertools.product(*([r for r in rs if sum(r) == s] for rs in subs)):
+            if all(grid[j][c] == v for j, c, v in fixed) and (
+                _weighted(grid, weights) == target
+            ):
+                out.append(grid)
+    return sorted(out)
+
+
+def test_sub_grids_match_brute_force():
+    # signed weights exercise the lo/hi pruning both ways; half the targets
+    # and pins come from a drawn sub-grid of any size, empty and full too
+    rng = random.Random(22)
+    cases = matched = 0
+    while cases < 400:
+        n = rng.randint(2, 7)
+        rows = [random_partition(rng, n) for _ in range(rng.randint(2, 5))]
+        if math.prod(p + 1 for row in rows for p in row) > 20000:
+            continue
+        weights = [[rng.randint(-9, 9) for _ in row] for row in rows]
+        if rng.random() < 0.5:
+            s = rng.randint(0, n)
+            drawn = [
+                rng.choice([r for r in _all_sub_rows(row) if sum(r) == s])
+                for row in rows
+            ]
+            target = _weighted(drawn, weights)
+        else:
+            drawn = [tuple(rng.randint(0, p) for p in row) for row in rows]
+            target = rng.randint(-40, 40)
+        fixed = []
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randrange(len(rows))
+            c = rng.randrange(len(rows[j]))
+            fixed.append((j, c, drawn[j][c]))
+        got = _sub_grids(rows, weights, target, fixed)
+        sizes = [sum(g[0]) for g in got]
+        assert sizes == sorted(sizes)
+        want = _brute_sub_grids(rows, weights, target, fixed)
+        assert sorted(got) == want, (rows, weights, target, fixed)
+        matched += bool(want)
+        cases += 1
+    assert matched > 100
 
 
 def h2_scheme(lam1, lam2, mu0, mu1, mu2):

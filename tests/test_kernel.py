@@ -52,7 +52,7 @@ def _rigid_sub_grids():
             if m.npart != 3:
                 continue
             for s in range(1, n + 1):
-                subs = (_sub_rows(row, s) for row in m.partitions)
+                subs = (_sub_rows(row).get(s, []) for row in m.partitions)
                 yield from itertools.product(*subs)
 
 
