@@ -475,15 +475,6 @@ class Scheme:
         return "Scheme(%r, %r)" % (self.shape, self.eigenvalues)
 
 
-def _sub_rows(row: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
-    """Componentwise sub-rows of ``row`` keyed by their sum, each list in
-    descending lexicographic order."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for sub in itertools.product(*(range(p, -1, -1) for p in row)):
-        out.setdefault(sum(sub), []).append(sub)
-    return out
-
-
 def _grid_sub(a, b):
     rows = []
     for p, q in zip(a, b):
@@ -500,44 +491,44 @@ def _sub_grids(rows, weights, target: int, fixed=()) -> list[tuple]:
     is ``target``, and which carry ``value`` at every (row, column, value)
     in ``fixed``; listed by increasing s.
 
-    Each row's sub-rows are listed once.  For each s the last row is
-    resolved by hash lookup on the needed complement, the others by
-    depth-first search pruned with achievable-range bounds.
+    Each row's sub-rows are listed once, grouped by sum and then by
+    weighted value.  For each s a depth-first search over the distinct
+    values, pruned with achievable-range bounds, fixes all rows but the
+    last, whose value is then looked up; every combination of the matched
+    groups is a grid.
     """
-    by_sum = []
+    tables = []
     for j, (row, wrow) in enumerate(zip(rows, weights)):
-        pins = [(c, v) for i, c, v in fixed if i == j]
-        by_sum.append({
-            s: [
-                (sub, sum(c * w for c, w in zip(sub, wrow) if c))
-                for sub in subs
-                if all(sub[c] == v for c, v in pins)
-            ]
-            for s, subs in _sub_rows(row).items()
-        })
-    grids = []
-    chosen: list[tuple[int, ...]] = []
+        ranges = [range(p, -1, -1) for p in row]
+        for i, c, v in fixed:
+            if i == j:
+                ranges[c] = [v] if v in ranges[c] else []
+        table: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        for sub in itertools.product(*ranges):
+            value = sum(c * w for c, w in zip(sub, wrow) if c)
+            table.setdefault(sum(sub), {}).setdefault(value, []).append(sub)
+        tables.append(table)
+    grids: list[tuple] = []
+    chosen: list[list[tuple[int, ...]]] = []
     depth = len(rows) - 1
     for s in range(1, sum(rows[0])):
-        options = [opts.get(s) for opts in by_sum]
-        if not all(options):
+        groups = [table.get(s) for table in tables]
+        if not all(groups):
             continue
-        lo = [sum(min(v for _, v in o) for o in options[j:]) for j in range(depth)]
-        hi = [sum(max(v for _, v in o) for o in options[j:]) for j in range(depth)]
-        last_index: dict[int, list[tuple[int, ...]]] = {}
-        for sub, val in options[-1]:
-            last_index.setdefault(val, []).append(sub)
+        lo = [sum(min(g) for g in groups[j:]) for j in range(depth)]
+        hi = [sum(max(g) for g in groups[j:]) for j in range(depth)]
+        last = groups[-1]
 
         def rec(j, total):
             if j == depth:
-                for sub in last_index.get(target - total, ()):
-                    grids.append(tuple(chosen) + (sub,))
+                if target - total in last:
+                    grids.extend(itertools.product(*chosen, last[target - total]))
                 return
             if total + lo[j] > target or total + hi[j] < target:
                 return
-            for sub, val in options[j]:
-                chosen.append(sub)
-                rec(j + 1, total + val)
+            for value, subs in groups[j].items():
+                chosen.append(subs)
+                rec(j + 1, total + value)
                 chosen.pop()
 
         rec(0, 0)

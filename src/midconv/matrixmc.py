@@ -432,22 +432,27 @@ def _quotient_tuple(row, lam, space) -> list[RationalMatrix]:
         basis = [w[::-1] for w in red.rows[: len(pivots)]]
         pivot_at = [size - 1 - c for c in pivots]
     free = sorted(set(range(size)) - set(pivot_at))
-    span = RationalMatrix(zip(*basis)) if basis else None
+    nf = len(free)
     # column q of pi is the class of e_q: a unit vector, or -C[a] at q = P[a]
     pi = {q: [Fraction(int(q == f)) for f in free] for q in free}
     pi.update((q, [-w[f] for f in free]) for q, w in zip(pivot_at, basis))
+    # block row j of G_j times span (the spanning vectors as columns) is
+    # row @ span + lam times the block-j rows of span: one product serves all
+    rs = (row @ RationalMatrix(zip(*basis))).rows if basis else [()] * n
     out = []
     for j in range(0, size, n):
-        g = RationalMatrix(
-            tuple(x + lam if c == j + r else x for c, x in enumerate(w))
+        pj = RationalMatrix(zip(*(pi[q] for q in range(j, j + n))))
+        # pi_j [G_j[:, N] | G_j span]: Q_j, then what must vanish on the span
+        prod = pj @ RationalMatrix(
+            [w[c] + lam if c == j + r else w[c] for c in free]
+            + [x + lam * v[j + r] for x, v in zip(rs[r], basis)]
             for r, w in enumerate(row.rows)
         )
-        pj = RationalMatrix(zip(*(pi[q] for q in range(j, j + n))))
         # G_j keeps the span iff pi G_j vanishes on it; G_0 = -(G_1 + ... +
-        # G_k) then keeps it too, so it needs no product of its own
-        if span is not None and not (pj @ (g @ span)).is_zero():
+        # G_k) then keeps it too, so it needs no check of its own
+        if any(any(x[nf:]) for x in prod.rows):
             raise InvariantError("subspace is not invariant")
-        out.append(pj @ RationalMatrix([w[c] for c in free] for w in g.rows))
+        out.append(RationalMatrix(x[:nf] for x in prod.rows))
     return [-sum(out[1:], out[0])] + out
 
 
@@ -497,7 +502,10 @@ def middle_convolution(
         space += [vec * k for vec in at.matrices[0].shift(-mu[0]).nullspace()]
     else:
         space += row.nullspace()
-    out = addition(MatrixTuple(_quotient_tuple(row, total, space)), shifts)
+    q0, *qs = _quotient_tuple(row, total, space)
+    out = MatrixTuple(
+        [q0.shift(-sum(shifts))] + [q.shift(s) for q, s in zip(qs, shifts)]
+    )
     if "irreducible" in at._facts and total != 0 and (check or known):
         out._facts["irreducible"] = True
     return out

@@ -18,7 +18,7 @@ from midconv.connection import (
     series_limit_oracle,
 )
 from midconv.enumeration import enumerate_rigid
-from midconv.katz import SchemeError, Terminal, _sub_rows, reduce_rows
+from midconv.katz import SchemeError, Terminal, reduce_rows
 from midconv.paramform import ParamForm
 from midconv.spectype import SpectralType, idx, parse
 
@@ -93,6 +93,23 @@ def test_rigid_decompositions_even_family():
     assert orders == [1, 1, 2, 2, 2]
 
 
+def test_rigid_decompositions_unit_rows_first():
+    # two unit rows ahead of the (n-1)1 row give many sub-rows of one
+    # weighted value; the search must not walk them one by one
+    n = 16
+    m = SpectralType([(1,) * n, (1,) * n, (n - 1, 1)], trim=False)
+    decs = rigid_decompositions(m)
+    assert len(decs) == 2 * n - 2
+    for first, second in decs:
+        assert all(
+            tuple(a + b for a, b in zip(p, q)) == r
+            for p, q, r in zip(first.partitions, second.partitions, m.partitions)
+        )
+        for g in (first, second):
+            assert reduce_rows(g.partitions, g.order).terminal is Terminal.ORDER_ONE
+    assert {first.order for first, _ in decs} == {1, n - 1}
+
+
 def test_rigid_decomposition_errors():
     with pytest.raises(SchemeError):
         rigid_decompositions(parse("211,211,1111"))  # not rigid
@@ -122,10 +139,11 @@ def test_pin_outside_the_row_raises():
 def _two_kernel_decompositions(m, pin0, pin1):
     """Every pinned column-aligned sub-grid, kept when the reduction kernel
     proves both it and its complement rigid."""
+    subs = [list(itertools.product(*(range(p + 1) for p in r))) for r in m.partitions]
     out = []
     for s in range(1, m.order):
         for first in itertools.product(
-            *(_sub_rows(r).get(s, []) for r in m.partitions)
+            *([sub for sub in rs if sum(sub) == s] for rs in subs)
         ):
             if first[0][pin0 - 1] != 1 or first[1][pin1 - 1] != 0:
                 continue

@@ -229,8 +229,10 @@ def _brute_sub_grids(rows, weights, target, fixed):
 
 
 def test_sub_grids_match_brute_force():
-    # signed weights exercise the lo/hi pruning both ways; half the targets
-    # and pins come from a drawn sub-grid of any size, empty and full too
+    # signed weights exercise the lo/hi pruning both ways; a row of one
+    # constant weight puts all its sub-rows of a sum into one value group;
+    # half the targets and pins come from a drawn sub-grid of any size,
+    # empty and full too
     rng = random.Random(22)
     cases = matched = 0
     while cases < 400:
@@ -238,7 +240,12 @@ def test_sub_grids_match_brute_force():
         rows = [random_partition(rng, n) for _ in range(rng.randint(2, 5))]
         if math.prod(p + 1 for row in rows for p in row) > 20000:
             continue
-        weights = [[rng.randint(-9, 9) for _ in row] for row in rows]
+        weights = [
+            [rng.randint(-9, 9)] * len(row)
+            if rng.random() < 0.3
+            else [rng.randint(-9, 9) for _ in row]
+            for row in rows
+        ]
         if rng.random() < 0.5:
             s = rng.randint(0, n)
             drawn = [

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from midconv.enumeration import _nontrivial_partitions, enumerate_rigid
-from midconv.katz import Terminal, _sub_rows, reduce_rows
+from midconv.katz import Terminal, reduce_rows
 from midconv.rootlattice import RootClass, classify_root, root_of
 from midconv.spectype import SpectralType
 
@@ -51,9 +51,14 @@ def _rigid_sub_grids():
         for m in enumerate_rigid(n).items:
             if m.npart != 3:
                 continue
+            subs = [
+                list(itertools.product(*(range(p + 1) for p in row)))
+                for row in m.partitions
+            ]
             for s in range(1, n + 1):
-                subs = (_sub_rows(row).get(s, []) for row in m.partitions)
-                yield from itertools.product(*subs)
+                yield from itertools.product(
+                    *([sub for sub in rs if sum(sub) == s] for rs in subs)
+                )
 
 
 def test_kernel_matches_weyl_walk_on_partition_multisets():
