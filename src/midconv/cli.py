@@ -123,9 +123,7 @@ def _report_out(report, args, out):
 
 
 def cmd_enumerate_rigid(args, out, stdin):
-    report = enumerate_rigid(
-        args.order, max_order=args.max_order, jobs=args.threads
-    )
+    report = enumerate_rigid(args.order, max_order=args.max_order)
     return _report_out(report, args, out)
 
 
@@ -135,7 +133,7 @@ def cmd_enumerate_basic(args, out, stdin):
 
 
 def cmd_counts(args, out, stdin):
-    table = count_table(args.max_order, args.max_index, jobs=args.threads)
+    table = count_table(args.max_order, args.max_index)
     if args.json:
         out.write(json.dumps(table, indent=2) + "\n")
         return 0
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate-rigid", cmd_enumerate_rigid, help="all rigid classes of an order")
     p.add_argument("-n", "--order", type=int, required=True)
     p.add_argument("--max-order", type=int, default=14)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("enumerate-basic", cmd_enumerate_basic, help="all basic classes of an index")
     p.add_argument("-p", "--index", type=int, required=True)
@@ -261,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("counts", cmd_counts, help="count tables for rigid and basic classes")
     p.add_argument("--max-order", type=int, default=8)
     p.add_argument("--max-index", type=int, default=-2)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("decompose", cmd_decompose, help="pinned rigid decompositions")
     p.add_argument("tuple")

@@ -2,14 +2,18 @@ import pytest
 
 from midconv.enumeration import (
     EnumerationError,
+    _make_report,
+    _multisets,
     _nontrivial_partitions,
+    _reduces_to_one,
+    _weight,
     count_table,
     enumerate_basic,
     enumerate_rigid,
 )
 from midconv.katz import classify, partial_ell, special_family, WellDefinednessViolation
 from midconv.rootlattice import RootClass, classify_root, inner, root_of, simple_root
-from midconv.spectype import canonicalize, gcd_of, idx, parse
+from midconv.spectype import InvariantError, canonicalize, gcd_of, idx, parse
 
 
 def test_rigid_order_two():
@@ -68,10 +72,41 @@ def _unit_marks(m):
     yield tuple(1 if j % 2 else w for j, w in enumerate(widths))
 
 
-def test_rigid_threads_match():
-    solo = enumerate_rigid(6)
-    multi = enumerate_rigid(6, jobs=2)
-    assert solo == multi
+def _reference_rigid_grids(n):
+    """Every multiset of nontrivial partitions of n with self-index 2 whose
+    maximal reduction chain reaches order one: the filter that the
+    inverse-step generator replaced."""
+    parts = _nontrivial_partitions(n, n * n)
+    weights = tuple(_weight(n, row) for row in parts)
+    grids = (tuple(parts[j] for j in combo) for combo in _multisets(weights, 2 * n * n - 2))
+    return [rows for rows in grids if _reduces_to_one(rows, n)]
+
+
+def test_rigid_generator_matches_multiset_reference():
+    for n in range(2, 16):
+        expected = _make_report("rigid", n, _reference_rigid_grids(n))
+        assert enumerate_rigid(n, max_order=15).items == expected.items, n
+
+
+def test_rigid_counts_past_the_reference_range():
+    # (triples, total) from the multiset reference above, which takes about
+    # 20 s for these five orders on a 2-core machine
+    expected = {
+        16: (2388, 4644),
+        17: (3276, 6128),
+        18: (5186, 9790),
+        19: (6954, 12595),
+        20: (10517, 19269),
+    }
+    for n, counts in expected.items():
+        rep = enumerate_rigid(n, max_order=20)
+        assert (rep.count(3), rep.total) == counts, n
+
+
+def test_report_rejects_a_repeated_class():
+    grid = ((1, 1),) * 3
+    with pytest.raises(InvariantError):
+        _make_report("rigid", 2, [grid, grid])
 
 
 def test_rigid_bounds():
