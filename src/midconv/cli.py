@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import diagram as diagram_mod
 from .connection import RiemannScheme, connection_formula, rigid_decompositions
@@ -43,6 +44,48 @@ def _inputs(value, stdin):
     return [value]
 
 
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2)``, byte for byte, on the types midconv
+    emits: dicts with str keys, lists, tuples, str, int, bool and None.
+
+    The stdlib writes indented JSON with its pure-Python encoder; this one
+    prints a list of plain ints (no bools) with one join, and partitions
+    are most of every payload.  ``pad`` is the newline and indentation
+    before a closing bracket.  Anything else raises ``TypeError``.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            items.append(_quote(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(
+        "Object of type %s is not JSON serializable" % type(obj).__name__
+    )
+
+
 def _trace_lines(trace):
     lines = []
     for step in trace.steps:
@@ -55,43 +98,39 @@ def _trace_lines(trace):
     return lines
 
 
-def _analyze_record(text):
-    m = canonicalize(parse(text))
-    trace = katz_reduce(m)
-    return m, trace, classify(m, trace)
-
-
 def cmd_analyze(args, out, stdin):
     worst = 0
     records = []
     for text in _inputs(args.tuple, stdin):
-        m, trace, cls = _analyze_record(text)
-        records.append(
-            {
-                "input": text,
-                "canonical": m.as_lists(),
-                "order": m.order,
-                "idx": idx(m),
-                "pidx": pidx(m),
-                "gcd": gcd_of(m),
-                "classification": cls.to_json(),
-                "trace": trace.to_json(),
-            }
-        )
+        trace = katz_reduce(parse(text))
+        m = trace.start
+        record = {
+            "input": text,
+            "canonical": m.as_lists(),
+            "order": m.order,
+            "idx": idx(m),
+            "pidx": pidx(m),
+            "gcd": gcd_of(m),
+            "classification": classify(m, trace).to_json(),
+            "trace": trace.to_json(),
+        }
         if trace.verdict is Verdict.NOT_REALIZABLE:
             worst = 2
-        if not args.json:
-            flags = ", ".join(k for k, v in cls.to_json().items() if v) or "none"
-            out.write("%s: ord=%d idx=%d pidx=%d gcd=%d\n"
-                      % (to_text(m), m.order, idx(m), pidx(m), gcd_of(m)))
-            out.write("  properties: %s\n" % flags)
-            for line in _trace_lines(trace):
-                out.write("  %s\n" % line)
-            if trace.verdict is Verdict.NOT_REALIZABLE:
-                fail = trace.steps[-1].m
-                out.write("  not realizable at %s\n" % to_text(fail))
+        if args.json:
+            records.append(record)
+            continue
+        cls = record["classification"]
+        flags = ", ".join(k for k, v in cls.items() if v) or "none"
+        out.write("%s: ord=%d idx=%d pidx=%d gcd=%d\n" % (
+            to_text(m), m.order, record["idx"], record["pidx"], record["gcd"]))
+        out.write("  properties: %s\n" % flags)
+        for line in _trace_lines(trace):
+            out.write("  %s\n" % line)
+        if trace.verdict is Verdict.NOT_REALIZABLE:
+            fail = trace.steps[-1].m
+            out.write("  not realizable at %s\n" % to_text(fail))
     if args.json:
-        out.write(json.dumps(records, indent=2) + "\n")
+        out.write(_json_text(records) + "\n")
     return worst
 
 
@@ -111,7 +150,7 @@ def cmd_reduce(args, out, stdin):
 
 def _report_out(report, args, out):
     if args.json:
-        out.write(json.dumps(report.to_json(), indent=2) + "\n")
+        out.write(_json_text(report.to_json()) + "\n")
     else:
         for line in report.to_lines():
             out.write(line + "\n")
@@ -135,7 +174,7 @@ def cmd_enumerate_basic(args, out, stdin):
 def cmd_counts(args, out, stdin):
     table = count_table(args.max_order, args.max_index)
     if args.json:
-        out.write(json.dumps(table, indent=2) + "\n")
+        out.write(_json_text(table) + "\n")
         return 0
     out.write("order  #triples  #classes\n")
     for n, triples, total in table["rigid"]:
@@ -151,12 +190,7 @@ def cmd_decompose(args, out, stdin):
     pins = args.pins or [None, None]
     decs = rigid_decompositions(m, pins[0], pins[1])
     if args.json:
-        out.write(
-            json.dumps(
-                [[a.as_lists(), b.as_lists()] for a, b in decs], indent=2
-            )
-            + "\n"
-        )
+        out.write(_json_text([[a.as_lists(), b.as_lists()] for a, b in decs]) + "\n")
         return 0
     for a, b in decs:
         out.write("%s + %s\n" % (to_text(a), to_text(b)))
@@ -170,7 +204,7 @@ def cmd_connect(args, out, stdin):
     pins = args.pins or [None, None]
     formula = connection_formula(scheme, pins[0], pins[1])
     if args.json:
-        out.write(json.dumps(formula.to_json(), indent=2) + "\n")
+        out.write(_json_text(formula.to_json()) + "\n")
     elif args.latex:
         out.write(formula.to_latex() + "\n")
     else:
@@ -188,23 +222,16 @@ def cmd_mc_demo(args, out, stdin):
         return 2
     dims = orbit_dims(at)
     if args.json:
-        out.write(
-            json.dumps(
-                {
-                    "shape": scheme.shape.as_lists(),
-                    "eigenvalues": [
-                        [str(e.const) for e in row] for row in scheme.eigenvalues
-                    ],
-                    "matrices": at.to_json(),
-                    "orbit": dims.to_json(),
-                    "spectral_data": [
-                        d.to_json() for d in tuple_spectral_data(at)
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        payload = {
+            "shape": scheme.shape.as_lists(),
+            "eigenvalues": [
+                [str(e.const) for e in row] for row in scheme.eigenvalues
+            ],
+            "matrices": at.to_json(),
+            "orbit": dims.to_json(),
+            "spectral_data": [d.to_json() for d in tuple_spectral_data(at)],
+        }
+        out.write(_json_text(payload) + "\n")
         return 0
     out.write("shape %s realized in size %d\n" % (to_text(scheme.shape), at.size))
     for j, mat in enumerate(at.matrices):

@@ -227,6 +227,11 @@ class ReductionTrace(NamedTuple):
     verdict: Verdict
     terminal: SpectralType
 
+    @property
+    def start(self) -> SpectralType:
+        """The canonical tuple the reduction started from."""
+        return self.steps[0].m if self.steps else self.terminal
+
     def d_values(self) -> tuple[int, ...]:
         return tuple(s.d for s in self.steps)
 
@@ -294,16 +299,17 @@ def classify(
     A divisible tuple c*b is irreducibly realizable exactly when its
     indivisible core b is and the self-index is negative; it is fundamental
     exactly when the core is basic with negative self-index.  A caller that
-    already holds ``reduce(m)`` passes it as ``trace`` and saves the
-    reduction.
+    already holds ``reduce(m)`` passes it as ``trace`` and saves both the
+    reduction and the canonicalization (``trace.start`` is canonical).
     """
-    c = canonicalize(m)
-    g = gcd_of(c)
     if trace is None:
+        c = canonicalize(m)
         red = reduce_rows(c.partitions, c.order)
         verdict = _verdict(red.terminal, red.rows)
     else:
+        c = trace.start
         verdict = trace.verdict
+    g = gcd_of(c)
     at_fixed_point = dmax_value(c) <= 0
     return Classification(
         indivisible=g == 1,

@@ -27,13 +27,13 @@ class InvariantError(RuntimeError):
 
 
 def _as_rows(partitions: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(p) for p in row) for row in partitions)
+    rows = tuple(tuple(map(int, row)) for row in partitions)
     if not rows:
         raise SpectralTypeError("a spectral type needs at least one partition")
     for row in rows:
         if not row:
             raise SpectralTypeError("empty partition")
-        if any(p < 0 for p in row):
+        if min(row) < 0:
             raise SpectralTypeError("negative part in %r" % (row,))
     sums = {sum(row) for row in rows}
     if len(sums) != 1:

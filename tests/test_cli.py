@@ -7,13 +7,14 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import midconv
-from midconv.cli import main
+from midconv.cli import _json_text, main
 from midconv.linalg import LinAlgError
 from midconv.matrixmc import MatrixTuple, construct_rigid_random, joint_centralizer_dim
 from midconv.spectype import canonicalize, parse
@@ -47,6 +48,59 @@ def run(capsys, *argv, stdin=""):
         sys.stdin = old
     out = capsys.readouterr().out
     return code, out
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+# quotes, backslashes, control characters, non-ASCII digits and letters,
+# a character beyond the BMP (escaped as a surrogate pair) and a lone surrogate
+_CHARS = 'ab 0\'"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u0663\u0967\u2028\U0001f600\ud800'
+
+
+def _random_text(rng, longest):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(longest + 1)))
+
+
+def _random_json_tree(rng, depth):
+    kind = rng.randrange(10 if depth else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2**63, 2**64 + 1, -(2**70), rng.randint(-99, 99)])
+    if kind == 2:
+        return _random_text(rng, 5)
+    if kind in (3, 4):
+        # lists of ints alone, with bools among them, or empty
+        ints = [rng.randint(-5, 2**65) for _ in range(rng.randrange(5))]
+        if kind == 4 and ints:
+            ints[rng.randrange(len(ints))] = rng.choice([True, False])
+        return ints if rng.random() < 0.7 else tuple(ints)
+    if kind == 5:
+        return _Pair(*(_random_json_tree(rng, depth - 1) for _ in range(2)))
+    items = [_random_json_tree(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return tuple(items)
+    if kind in (7, 8):
+        return items
+    return {_random_text(rng, 3): x for x in items}
+
+
+def test_json_text_matches_json_dumps_indent_2():
+    rng = random.Random(25)
+    for _ in range(3000):
+        tree = _random_json_tree(rng, rng.randrange(5))
+        assert _json_text(tree) == json.dumps(tree, indent=2), tree
+    for tree in ([], {}, [[], {}], {"a": [{}]}, [[[]]], [True, 1, False, 0], "\u0663"):
+        assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, {1: "a"}, [0, 0.5], {"a": {(1,): 0}}])
+def test_json_text_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        _json_text(bad)
 
 
 def test_analyze_rigid(capsys):

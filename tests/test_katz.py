@@ -160,6 +160,29 @@ def test_classify_examples():
     assert c.fundamental and not c.basic and c.irreducibly_realizable
 
 
+def test_classify_reads_the_canonical_form_from_the_trace():
+    # unsorted rows, zero parts and trivial rows, given as stored tuples
+    rng = random.Random(25)
+    cases = [
+        SpectralType([(1, 2), (0, 2, 1), (3,), (1, 1, 1)], trim=False),
+        SpectralType([(1, 0, 1), (2, 0), (1, 1)], trim=False),
+        SpectralType([(4,), (1, 3), (2, 2), (3, 1), (1, 1, 2)], trim=False),
+    ]
+    for _ in range(300):
+        m = random_tuple(rng)
+        rows = [list(row) + [0] * rng.randrange(2) for row in m.partitions]
+        rows.append([m.order])
+        for row in rows:
+            rng.shuffle(row)
+        rng.shuffle(rows)
+        cases.append(SpectralType(rows, trim=False))
+    for m in cases:
+        assert m != canonicalize(m)
+        trace = reduce(m)
+        assert trace.start == canonicalize(m)
+        assert classify(m, trace) == classify(m)
+
+
 def test_trace_json():
     data = reduce(parse("22,22,1111")).to_json()
     assert data["verdict"] == "not-realizable"

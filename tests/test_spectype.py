@@ -46,6 +46,23 @@ def test_parse_errors(bad):
         parse(bad)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "a spectral type needs at least one partition"),
+        ([()], "empty partition"),
+        ([(3, -1)], "negative part in (3, -1)"),
+        ([(2,), (1, 1, 1)], "partitions have different sums: [2, 3]"),
+        ([(0,)], "order must be at least 1"),
+    ],
+)
+def test_constructor_errors(rows, message):
+    # parse rejects zero parts first, so only direct construction gets here
+    with pytest.raises(SpectralTypeError) as info:
+        SpectralType(rows)
+    assert str(info.value) == message
+
+
 def test_parse_trims_trivial_partitions():
     assert parse("111,111,21,3") == parse("111,111,21")
     assert parse("111,111,21,3", trim=False).npart == 4
