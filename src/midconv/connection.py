@@ -127,7 +127,7 @@ def rigid_decompositions(
     for first in _sub_grids(m.partitions, weights, 1, pins):
         if _is_rigid_grid(first):
             pair = (first, _grid_sub(m.partitions, first))
-            out.append(tuple(SpectralType(g, trim=False) for g in pair))
+            out.append(tuple(SpectralType(g) for g in pair))
     out.sort(key=lambda pair: pair[0].partitions)
     return out
 

@@ -71,12 +71,9 @@ def _reduces_to_one(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
     return reduce_rows(rows, n).terminal is Terminal.ORDER_ONE
 
 
-def _multisets(weights, total, extra_cap=None, extras=None):
-    """Non-decreasing index multisets with the prescribed total weight.
-
-    ``extras``/``extra_cap`` optionally bound a second additive statistic
-    (used for the basic fixed-point condition).
-    """
+def _multisets(weights, total, extras, extra_cap):
+    """Non-decreasing index multisets of total weight ``total`` whose
+    ``extras`` sum to at most ``extra_cap`` (the basic fixed-point condition)."""
     size = len(weights)
     minw = [0] * (size + 1)
     cur = None
@@ -96,12 +93,9 @@ def _multisets(weights, total, extra_cap=None, extras=None):
             w = weights[j]
             if w > remaining:
                 continue
-            if extras is not None:
-                e = extras[j]
-                if e > budget:
-                    continue
-            else:
-                e = 0
+            e = extras[j]
+            if e > budget:
+                continue
             rest = remaining - w
             if rest and rest < minw[j]:
                 continue
@@ -109,7 +103,7 @@ def _multisets(weights, total, extra_cap=None, extras=None):
             rec(j, rest, budget - e)
             acc.pop()
 
-    rec(0, total, extra_cap or 0)
+    rec(0, total, extra_cap)
     return results
 
 
@@ -147,9 +141,9 @@ def _make_report(kind: str, parameter: int, grids) -> EnumerationReport:
         if a == b:
             raise InvariantError(
                 "%s enumeration at %d lists %s twice"
-                % (kind, parameter, to_text(SpectralType(a, trim=False)))
+                % (kind, parameter, to_text(SpectralType(a)))
             )
-    items = tuple(SpectralType(rows, trim=False) for rows in grids)
+    items = tuple(SpectralType(rows) for rows in grids)
     by_npart: dict[int, int] = {}
     for m in items:
         by_npart[m.npart] = by_npart.get(m.npart, 0) + 1
@@ -306,7 +300,7 @@ def _basic_grids(p: int, n: int):
     weights = tuple(_weight(n, row) for row in parts)
     excesses = tuple(sum((row[0] - q) * q for q in row[1:]) for row in parts)
     found = []
-    for combo in _multisets(weights, 2 * n * n - p, extra_cap=-p, extras=excesses):
+    for combo in _multisets(weights, 2 * n * n - p, excesses, -p):
         grid = tuple(parts[j] for j in combo)
         if math.gcd(*(q for row in grid for q in row)) == 1:
             found.append(grid)

@@ -70,7 +70,7 @@ def d_ell(m: SpectralType, ells: Sequence[int]) -> int:
 
 def partial_ell_raw(m: SpectralType, ells: Sequence[int]) -> SpectralType:
     """One reduction step at the marked columns, zero parts removed but
-    partitions left unsorted and untrimmed.
+    partitions left unsorted and trivial partitions kept.
 
     Well-defined only when every marked multiplicity is at least the
     defect.  With a negative defect the step grows the marked columns, so
@@ -84,7 +84,7 @@ def partial_ell_raw(m: SpectralType, ells: Sequence[int]) -> SpectralType:
         padded = list(row) + [0] * (l - len(row))
         padded[l - 1] -= d
         rows.append(tuple(p for p in padded if p) or (0,))
-    return SpectralType(rows, trim=False)
+    return SpectralType(rows)
 
 
 def partial_ell(m: SpectralType, ells: Sequence[int]) -> SpectralType:
@@ -189,7 +189,7 @@ def partial_max(m: SpectralType) -> tuple[tuple[int, ...], SpectralType]:
     if terminal is Terminal.VIOLATION:
         return ells, partial_ell(m, ells)  # raises WellDefinednessViolation
     if terminal is None:
-        return ells, canonicalize(SpectralType(rows, trim=False))
+        return ells, canonicalize(SpectralType(rows))
     return ells, m
 
 
@@ -249,7 +249,7 @@ def _verdict(terminal: Terminal, rows) -> Verdict:
     if terminal is Terminal.ORDER_ONE:
         return Verdict.RIGID
     if terminal is Terminal.FIXED_POINT:
-        fixed = SpectralType(rows, trim=False)
+        fixed = SpectralType(rows)
         if gcd_of(fixed) == 1 or idx(fixed) < 0:
             return Verdict.REALIZABLE_NOT_RIGID
     return Verdict.NOT_REALIZABLE
@@ -270,7 +270,7 @@ def reduce(m: SpectralType) -> ReductionTrace:
         terminal, marks, d, rows, _ = max_step(cur.partitions, cur.order)
         ells = tuple(e + 1 for e in marks)
         if terminal is None:
-            raw = SpectralType(rows, trim=False)
+            raw = SpectralType(rows)
             steps.append(ReductionStep(cur, ells, d, raw, canonicalize(raw)))
             cur = steps[-1].out
             continue
@@ -353,7 +353,7 @@ def reflect_by_rigid(
                 % (m, mr, j)
             )
         rows.append(tuple(x for x in row if x) or (0,))
-    out = SpectralType(rows, trim=False)
+    out = SpectralType(rows)
     if idx(out) != idx(m):
         raise InvariantError("reflection by %s changed the index of %s" % (mr, m))
     return out
@@ -382,9 +382,7 @@ def special_family(kind: str, scale: int) -> SpectralType:
         "E7": ((s, s, s, s - 1, 1), (s, s, s, s), (2 * s, 2 * s)),
         "E8": ((s, s, s, s, s, s - 1, 1), (2 * s, 2 * s, 2 * s), (3 * s, 3 * s)),
     }[kind]
-    return SpectralType(
-        (tuple(p for p in row if p) for row in rows), trim=False
-    )
+    return SpectralType(tuple(p for p in row if p) for row in rows)
 
 
 def nilpotent_realizable(m: SpectralType) -> bool:
@@ -568,7 +566,7 @@ def ds_existence(s: Scheme, *, bound: int = 12) -> bool:
     den = math.lcm(*(l.denominator for lrow in lam for l in lrow))
     ilam = [[int(l * den) for l in lrow] for lrow in lam]
     candidates = [
-        (grid, pidx(SpectralType(grid, trim=False)))
+        (grid, pidx(SpectralType(grid)))
         for grid in _sub_grids(m.partitions, ilam, 0)
         if reduce_rows(grid, sum(grid[0])).terminal is not Terminal.VIOLATION
     ]

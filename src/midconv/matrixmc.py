@@ -523,7 +523,7 @@ def scheme_of(at: MatrixTuple) -> Scheme:
         cols.sort(key=lambda pe: (-pe[0], pe[1]))
         shape_rows.append(tuple(p for p, _ in cols))
         eig_rows.append(tuple(e for _, e in cols))
-    return Scheme(SpectralType(shape_rows, trim=False), eig_rows)
+    return Scheme(SpectralType(shape_rows), eig_rows)
 
 
 def _replay_forward(shape: SpectralType, table):

@@ -16,10 +16,11 @@ the reflection at the central node.
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .spectype import SpectralType, SpectralTypeError
+from .spectype import SpectralType
 
 
 class RootLatticeError(ValueError):
@@ -33,6 +34,13 @@ class StepBudgetError(RuntimeError):
 Index = "int | tuple[int, int]"  # 0 for the central node, (j, v) for leg nodes
 
 
+def _integer(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise RootLatticeError("non-integer entry %r" % (x,)) from None
+
+
 class RootVector:
     """Integer vector in the root lattice: central coefficient ``a0`` plus a
     finite sparse map (j, v) -> coefficient over the leg nodes."""
@@ -42,12 +50,13 @@ class RootVector:
     def __init__(self, a0: int, coeffs: Iterable[tuple[tuple[int, int], int]] = ()):
         items = []
         for (j, v), c in dict(coeffs).items():
+            j, v, c = _integer(j), _integer(v), _integer(c)
             if j < 0 or v < 1:
                 raise RootLatticeError("bad leg index (%r, %r)" % (j, v))
             if c:
-                items.append(((int(j), int(v)), int(c)))
+                items.append(((j, v), c))
         items.sort()
-        object.__setattr__(self, "a0", int(a0))
+        object.__setattr__(self, "a0", _integer(a0))
         object.__setattr__(self, "coeffs", tuple(items))
 
     def __setattr__(self, name, value):
@@ -159,7 +168,7 @@ def tuple_of(a: RootVector) -> SpectralType:
     for (j, v), c in a.coeffs:
         legs.setdefault(j, {})[v] = c
     if not legs:
-        return SpectralType(((n,),), trim=False)
+        return SpectralType(((n,),))
     top = max(legs)
     rows = []
     for j in range(top + 1):
@@ -180,10 +189,7 @@ def tuple_of(a: RootVector) -> SpectralType:
             row.append(prev - cur)
             prev = cur
         rows.append(tuple(row))
-    try:
-        return SpectralType(rows, trim=False)
-    except SpectralTypeError as exc:  # pragma: no cover - guarded above
-        raise RootLatticeError(str(exc)) from exc
+    return SpectralType(rows)
 
 
 def inner(a: RootVector, b: RootVector) -> int:

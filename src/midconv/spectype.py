@@ -4,7 +4,7 @@ A spectral type records, for each singular point of a Fuchsian system, the
 eigenvalue multiplicities of the local residue matrix: one partition per
 point, every partition summing to the same order n.  Beyond the stored
 partitions the tuple continues implicitly with the trivial partition (n),
-which is never materialised.
+which the index pairing ignores and ``parse`` drops from its input.
 
 Zero entries are permitted in storage so that column-aligned arithmetic
 (differences, decompositions, position-tracked reductions) can keep columns
@@ -14,6 +14,7 @@ fixed; user-facing normalisation removes them.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 
@@ -27,43 +28,45 @@ class InvariantError(RuntimeError):
 
 
 def _as_rows(partitions: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(map(int, row)) for row in partitions)
-    if not rows:
-        raise SpectralTypeError("a spectral type needs at least one partition")
-    for row in rows:
+    rows = []
+    for row in map(tuple, partitions):
+        try:
+            row = tuple(map(operator.index, row))
+        except TypeError:
+            bad = next(p for p in row if not hasattr(p, "__index__"))
+            raise SpectralTypeError("non-integer part %r in %r" % (bad, row)) from None
         if not row:
             raise SpectralTypeError("empty partition")
         if min(row) < 0:
             raise SpectralTypeError("negative part in %r" % (row,))
+        rows.append(row)
+    if not rows:
+        raise SpectralTypeError("a spectral type needs at least one partition")
     sums = {sum(row) for row in rows}
     if len(sums) != 1:
         raise SpectralTypeError("partitions have different sums: %r" % sorted(sums))
     order = sums.pop()
     if order < 1:
         raise SpectralTypeError("order must be at least 1")
-    return rows
+    return tuple(rows)
 
 
 class SpectralType:
     """Immutable tuple of partitions of a common order.
 
     ``partitions[j][v]`` is the multiplicity at point j, column v (0-based
-    storage for the 1-based column index v+1).  With ``trim`` (the default)
-    stored copies of the trivial partition (n) are dropped, since they carry
-    no information; a single-entry partition therefore only survives for
-    order 1 or when trimming is disabled.
+    storage for the 1-based column index v+1).  The rows are stored as
+    given, trivial partitions (n) and zero parts included; every part must
+    be a non-negative integer (``operator.index``), so floats and strings
+    are rejected rather than truncated.
     """
 
     __slots__ = ("partitions", "order")
 
-    def __init__(self, partitions: Iterable[Iterable[int]], *, trim: bool = True):
+    def __init__(self, partitions: Iterable[Iterable[int]]):
         rows = _as_rows(partitions)
-        order = sum(rows[0])
-        if trim:
-            kept = tuple(row for row in rows if row != (order,))
-            rows = kept if kept else ((order,),)
         object.__setattr__(self, "partitions", rows)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", sum(rows[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralType is immutable")
@@ -81,8 +84,7 @@ class SpectralType:
     def strip_zeros(self) -> "SpectralType":
         """Drop zero parts, keeping partition order."""
         return SpectralType(
-            (tuple(p for p in row if p) or (0,) for row in self.partitions),
-            trim=False,
+            tuple(p for p in row if p) or (0,) for row in self.partitions
         )
 
     def __eq__(self, other) -> bool:
@@ -102,12 +104,13 @@ class SpectralType:
         return [list(row) for row in self.partitions]
 
 
-def parse(text: str, *, trim: bool = True) -> SpectralType:
+def parse(text: str) -> SpectralType:
     """Parse comma-separated partitions.
 
     Each partition is either a digit string (every part a single digit 1-9,
     e.g. ``411``) or space-separated integers (``10 1``).  Zero parts are
-    rejected; all partitions must sum to the same order.
+    rejected; all partitions must sum to the same order.  Trivial
+    partitions (n) are then dropped, keeping ``(n,)`` if nothing else is left.
     """
     if not text or not text.strip():
         raise SpectralTypeError("empty input")
@@ -128,7 +131,9 @@ def parse(text: str, *, trim: bool = True) -> SpectralType:
         if any(p == 0 for p in parts):
             raise SpectralTypeError("zero part in %r" % token)
         rows.append(parts)
-    return SpectralType(rows, trim=trim)
+    m = SpectralType(rows)
+    kept = tuple(row for row in m.partitions if row != (m.order,))
+    return m if len(kept) == m.npart else SpectralType(kept or ((m.order,),))
 
 
 def to_text(m: SpectralType) -> str:
@@ -154,9 +159,9 @@ def canonicalize(m: SpectralType) -> SpectralType:
         if cleaned and cleaned != (n,):
             rows.append(cleaned)
     if not rows:
-        return SpectralType(((n,),), trim=False)
+        return SpectralType(((n,),))
     rows.sort(reverse=True)
-    return SpectralType(rows, trim=False)
+    return SpectralType(rows)
 
 
 def is_canonical(m: SpectralType) -> bool:
@@ -223,9 +228,7 @@ def scale_add(a: int, m: SpectralType, b: int, m2: SpectralType) -> SpectralType
                     "ambiguous column pairing: %r vs %r" % (p, q)
                 )
             rows.append(tuple(a * x + b * y for x, y in zip(p, q)))
-    return SpectralType(
-        (tuple(p for p in row if p) or (0,) for row in rows), trim=False
-    )
+    return SpectralType(tuple(p for p in row if p) or (0,) for row in rows)
 
 
 def gcd_of(m: SpectralType) -> int:
@@ -237,9 +240,7 @@ def divide(m: SpectralType, d: int) -> SpectralType:
     """Exact componentwise division by a common divisor d."""
     if d < 1 or gcd_of(m) % d:
         raise SpectralTypeError("%d does not divide all parts" % d)
-    return SpectralType(
-        (tuple(p // d for p in row) for row in m.partitions), trim=False
-    )
+    return SpectralType(tuple(p // d for p in row) for row in m.partitions)
 
 
 def dominance_leq(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -272,4 +273,4 @@ def unit_at(ells: Sequence[int]) -> SpectralType:
     ells[j] (1-based)."""
     if not ells or any(l < 1 for l in ells):
         raise SpectralTypeError("column indices must be >= 1")
-    return SpectralType(((0,) * (l - 1) + (1,) for l in ells), trim=False)
+    return SpectralType((0,) * (l - 1) + (1,) for l in ells)

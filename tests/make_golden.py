@@ -12,7 +12,8 @@ and are stored in the file, so the test needs no benchmark code:
   three-point arrangements to order 7;
 * ``mc-demo --seed 0`` on every rigid shape of the published table to
   order 7 (``rigid_table_to_order_7``: orders 2 to 7, up to 8 points);
-* a few malformed inputs.
+* a few malformed inputs, and a few with trivial partitions (n), which
+  ``parse`` drops.
 
 Every command runs in text form and with ``--json``; ``mc-demo --seed 1``
 on the 21 three-point shapes of orders 4 to 6 runs with ``--json`` only,
@@ -49,6 +50,11 @@ def command_lines():
     lines += [["analyze", "21,111"], ["reduce", "2x,11"],
               ["enumerate-rigid", "-n", "1"], ["decompose", "21,21,21"],
               ["connect", "11,11"], ["frobnicate"]]
+    # trivial partitions (n), which parse drops, and text with no other row
+    lines += [["analyze", "111,111,21,3"], ["reduce", "22,22,1111,4"],
+              ["decompose", "11,11,11,2"], ["connect", "111,111,21,3", "--pins", "3", "3"],
+              ["mc-demo", "11,11,11,2", "--seed", "0"], ["diagram", "33,222,111111,6"],
+              ["analyze", "1,1,1"], ["analyze", "3,4"]]
     lines = [argv + extra for argv in lines for extra in ([], ["--json"])]
     # seed 1 in JSON only: the JSON payload holds everything the text shows,
     # and each construction costs about 0.4 s

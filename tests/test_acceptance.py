@@ -369,7 +369,7 @@ def test_criterion_7_connection_identities():
             if m.npart != 3:
                 continue
             for arrangement in set(itertools.permutations(m.partitions)):
-                mm = SpectralType(arrangement, trim=False)
+                mm = SpectralType(arrangement)
                 n0 = len(mm.partitions[0])
                 n1 = len(mm.partitions[1])
                 if mm.part(0, n0) != 1 or mm.part(1, n1) != 1:

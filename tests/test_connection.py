@@ -31,7 +31,7 @@ def hypergeometric_shape(n):
     rows = [(1,) * n, (n - 1, 1), (1,) * n]
     if n == 2:
         rows[1] = (1, 1)
-    return SpectralType(rows, trim=False)
+    return SpectralType(rows)
 
 
 def gauss_substitution_scheme(n):
@@ -48,7 +48,7 @@ def gauss_substitution_scheme(n):
 def test_fuchs_value_examples():
     scheme = RiemannScheme.generic(parse("11,11,11"))
     assert isinstance(scheme, RiemannScheme)
-    ords1 = SpectralType(((0, 1), (1, 0), (1, 0)), trim=False)
+    ords1 = SpectralType(((0, 1), (1, 0), (1, 0)))
     piece = fuchs_value(scheme, ords1)
     assert piece == var("l0_2") + var("l1_1") + var("l2_1")
 
@@ -97,7 +97,7 @@ def test_rigid_decompositions_unit_rows_first():
     # two unit rows ahead of the (n-1)1 row give many sub-rows of one
     # weighted value; the search must not walk them one by one
     n = 16
-    m = SpectralType([(1,) * n, (1,) * n, (n - 1, 1)], trim=False)
+    m = SpectralType([(1,) * n, (1,) * n, (n - 1, 1)])
     decs = rigid_decompositions(m)
     assert len(decs) == 2 * n - 2
     for first, second in decs:
@@ -173,7 +173,7 @@ def _pinned_arrangements():
                         for row in arr[:2]
                     )
                 ):
-                    yield SpectralType(arr, trim=False), pin0, pin1
+                    yield SpectralType(arr), pin0, pin1
 
 
 def test_rigid_decompositions_match_the_two_kernel_rule():
@@ -202,7 +202,7 @@ def test_reverse_connection_formula_pairs_every_factor():
         scheme = RiemannScheme.generic(shape)
         rows, ev = shape.partitions, scheme.eigenvalues
         swapped = RiemannScheme(
-            SpectralType((rows[1], rows[0], rows[2]), trim=False),
+            SpectralType((rows[1], rows[0], rows[2])),
             (ev[1], ev[0], ev[2]),
         )
         c = connection_formula(scheme, pin0, pin1)

@@ -78,7 +78,8 @@ def _reference_rigid_grids(n):
     inverse-step generator replaced."""
     parts = _nontrivial_partitions(n, n * n)
     weights = tuple(_weight(n, row) for row in parts)
-    grids = (tuple(parts[j] for j in combo) for combo in _multisets(weights, 2 * n * n - 2))
+    combos = _multisets(weights, 2 * n * n - 2, (0,) * len(parts), 0)
+    grids = (tuple(parts[j] for j in combo) for combo in combos)
     return [rows for rows in grids if _reduces_to_one(rows, n)]
 
 

@@ -164,9 +164,9 @@ def test_classify_reads_the_canonical_form_from_the_trace():
     # unsorted rows, zero parts and trivial rows, given as stored tuples
     rng = random.Random(25)
     cases = [
-        SpectralType([(1, 2), (0, 2, 1), (3,), (1, 1, 1)], trim=False),
-        SpectralType([(1, 0, 1), (2, 0), (1, 1)], trim=False),
-        SpectralType([(4,), (1, 3), (2, 2), (3, 1), (1, 1, 2)], trim=False),
+        SpectralType([(1, 2), (0, 2, 1), (3,), (1, 1, 1)]),
+        SpectralType([(1, 0, 1), (2, 0), (1, 1)]),
+        SpectralType([(4,), (1, 3), (2, 2), (3, 1), (1, 1, 2)]),
     ]
     for _ in range(300):
         m = random_tuple(rng)
@@ -175,7 +175,7 @@ def test_classify_reads_the_canonical_form_from_the_trace():
         for row in rows:
             rng.shuffle(row)
         rng.shuffle(rows)
-        cases.append(SpectralType(rows, trim=False))
+        cases.append(SpectralType(rows))
     for m in cases:
         assert m != canonicalize(m)
         trace = reduce(m)
@@ -194,11 +194,11 @@ def test_reflect_by_rigid():
     m = parse("211,211,1111")
     assert reflect_by_rigid(m, parse("11,11,11")) == m
 
-    out = reflect_by_rigid(parse("11,11,11"), parse("1,1,1", trim=False))
+    out = reflect_by_rigid(parse("11,11,11"), SpectralType([(1,)] * 3))
     assert canonicalize(out) == parse("1")
 
     out = reflect_by_rigid(
-        parse("211,211,211,31"), parse("1,1,1,1", trim=False)
+        parse("211,211,211,31"), SpectralType([(1,)] * 4)
     )
     assert out == parse("111,111,111,21")
 
@@ -330,7 +330,7 @@ def test_ds_existence_degenerate_hypergeometric():
 
 def test_ds_existence_order_one():
     s = Scheme(
-        parse("1,1,1", trim=False),
+        SpectralType([(1,)] * 3),
         ((Fraction(2),), (Fraction(3),), (Fraction(-5),)),
     )
     assert ds_existence(s)

@@ -26,7 +26,7 @@ ROOT_CLASS = {
 def _disagreements(grids):
     bad = []
     for rows in grids:
-        st = SpectralType(rows, trim=False)
+        st = SpectralType(rows)
         kernel = ROOT_CLASS[reduce_rows(rows, st.order).terminal]
         if kernel is not classify_root(root_of(st)):
             bad.append(rows)
@@ -78,7 +78,7 @@ def test_kernel_matches_weyl_walk_on_rigid_sub_grids():
 def test_only_trivial_partitions_is_a_violation(n, copies):
     rows = ((n,),) * copies
     assert reduce_rows(rows, n).terminal is Terminal.VIOLATION
-    walk = classify_root(root_of(SpectralType(rows, trim=False)))
+    walk = classify_root(root_of(SpectralType(rows)))
     assert walk is RootClass.NOT_A_ROOT
 
 

@@ -32,7 +32,7 @@ from midconv.matrixmc import (
     spectral_data_of,
     tuple_spectral_data,
 )
-from midconv.spectype import InvariantError, parse
+from midconv.spectype import InvariantError, SpectralType, parse
 from test_acceptance import _predicted_output
 
 
@@ -332,7 +332,7 @@ def test_reducible_tuples_are_never_marked(monkeypatch):
     assert joint_centralizer_dim(built[-2]) == 2
     assert joint_centralizer_dim(triangular) == 1
     _, rigid = construct_rigid_random(parse("111,111,21"), random.Random(9))
-    one = construct_rigid(Scheme(parse("1,1,1", trim=False),
+    one = construct_rigid(Scheme(SpectralType([(1,)] * 3),
                                  ((frac(2),), (frac(3),), (frac(-5),))))
     assert "irreducible" in rigid._facts and "irreducible" in one._facts
     built.append(middle_convolution(rigid, (1, 2, -3)))  # total 0
@@ -650,7 +650,7 @@ def test_construct_rigid_order_three():
 
 def test_construct_rigid_order_one():
     scheme = Scheme(
-        parse("1,1,1", trim=False),
+        SpectralType([(1,)] * 3),
         ((frac(2),), (frac(3),), (frac(-5),)),
     )
     at = construct_rigid(scheme)

@@ -34,16 +34,16 @@ def test_idx_symmetry_and_bilinearity_bulk():
     while cases < 10_000:
         n = rng.randint(1, 9)
         rows = rng.randint(1, 5)
-        a = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
-        b = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
-        c = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
+        a = SpectralType((random_partition(rng, n) for _ in range(rows)))
+        b = SpectralType((random_partition(rng, n) for _ in range(rows)))
+        c = SpectralType((random_partition(rng, n) for _ in range(rows)))
         assert idx(a, b) == idx(b, a)
         width_rows = []
         for p, q in zip(a.partitions, c.partitions):
             w = max(len(p), len(q))
             width_rows.append((p + (0,) * (w - len(p)), q + (0,) * (w - len(q))))
-        a_pad = SpectralType((r[0] for r in width_rows), trim=False)
-        c_pad = SpectralType((r[1] for r in width_rows), trim=False)
+        a_pad = SpectralType((r[0] for r in width_rows))
+        c_pad = SpectralType((r[1] for r in width_rows))
         s = scale_add(1, a_pad, 1, c_pad)
         assert idx(s, b) == idx(a, b) + idx(c, b)
         cases += 2
@@ -62,7 +62,7 @@ def test_idx_is_symmetry_invariant_bulk():
         def act(t):
             padded = list(t.partitions) + [(t.order,)] * (rows - t.npart)
             moved = [padded[perm[j]] for j in range(rows)]
-            return SpectralType(moved, trim=False)
+            return SpectralType(moved)
 
         assert idx(act(m), act(m2)) == idx(m, m2)
         cases += 1
@@ -147,7 +147,7 @@ def test_idx_head_identity_bulk():
         sorted_rows = tuple(
             tuple(sorted(row, reverse=True)) for row in m.partitions
         )
-        mm = SpectralType(sorted_rows, trim=False)
+        mm = SpectralType(sorted_rows)
         excess = sum(
             (row[0] - p) * p for row in mm.partitions for p in row[1:]
         )
@@ -266,7 +266,7 @@ def _all_tuples_up_to(order, max_rows):
         parts = _nontrivial_partitions(n, n * n)
         for size in range(2, max_rows + 1):
             for combo in itertools.combinations_with_replacement(parts, size):
-                yield SpectralType(combo, trim=False)
+                yield SpectralType(combo)
 
 
 def test_existence_agrees_with_classification():

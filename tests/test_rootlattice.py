@@ -38,10 +38,24 @@ def test_root_of_examples():
 
 def test_tuple_of_inverse():
     a = RootVector(2, {(0, 1): 1, (1, 1): 1, (2, 1): 1}.items())
-    assert tuple_of(a) == parse("11,11,11", trim=False)
+    assert tuple_of(a) == parse("11,11,11")
     assert tuple_of(RootVector(1)) == parse("1")
     with pytest.raises(RootLatticeError):
         tuple_of(RootVector(1, {(0, 1): 2}.items()))
+
+
+def test_root_vector_rejects_non_integers():
+    for a0, coeffs, bad in [
+        (2.5, {(0, 1): 1}, "2.5"),
+        (2, {(0, 1): 1.9}, "1.9"),
+        (2, {(0, "1"): 1}, "'1'"),
+    ]:
+        with pytest.raises(RootLatticeError) as info:
+            RootVector(a0, coeffs.items())
+        assert str(info.value) == "non-integer entry %s" % bad
+    assert RootVector(True, {(0, 1): True}.items()).to_json() == {
+        "a0": 1, "coeffs": [[0, 1, 1]]
+    }
 
 
 def test_inner_cartan_values():
@@ -61,7 +75,7 @@ def test_reflect_center():
     a = root_of(parse("11,11,11"))
     r = reflect(a, 0)
     assert r == RootVector(1, {(0, 1): 1, (1, 1): 1, (2, 1): 1}.items())
-    assert r == root_of(SpectralType(((0, 1), (0, 1), (0, 1)), trim=False))
+    assert r == root_of(SpectralType(((0, 1), (0, 1), (0, 1))))
 
 
 def test_reflect_involution_random():
@@ -79,7 +93,7 @@ def test_reflect_by():
     ell = unit_at((1, 1, 1, 1))
     out = reflect_by(root_of(m), root_of(ell))
     # raw reduction output with the emptied column kept in place
-    raw = SpectralType(((1, 1, 1), (1, 1, 1), (1, 2), (0, 3)), trim=False)
+    raw = SpectralType(((1, 1, 1), (1, 1, 1), (1, 2), (0, 3)))
     assert out == root_of(raw)
     assert canonicalize(tuple_of(out)) == parse("21,111,111")
     # orthogonal vector is fixed
@@ -105,7 +119,7 @@ def test_dictionary_random():
         rows = list(clean.partitions)
         while len(rows) > 1 and rows[-1] == (clean.order,):
             rows.pop()
-        assert tuple_of(root_of(clean)) == SpectralType(rows, trim=False)
+        assert tuple_of(root_of(clean)) == SpectralType(rows)
 
 
 def test_swap_reflection_matches_leg_reflection():
@@ -120,7 +134,7 @@ def test_swap_reflection_matches_leg_reflection():
         swapped[v - 1], swapped[v] = swapped[v], swapped[v - 1]
         rows = list(m.partitions)
         rows[j] = tuple(swapped)
-        m_swapped = SpectralType(rows, trim=False)
+        m_swapped = SpectralType(rows)
         assert reflect(root_of(m), (j, v)) == root_of(m_swapped)
 
 

@@ -54,6 +54,8 @@ def test_parse_errors(bad):
         ([(3, -1)], "negative part in (3, -1)"),
         ([(2,), (1, 1, 1)], "partitions have different sums: [2, 3]"),
         ([(0,)], "order must be at least 1"),
+        ([(1.5, 1.5)] * 3, "non-integer part 1.5 in (1.5, 1.5)"),
+        ([(2,), ("2",)], "non-integer part '2' in ('2',)"),
     ],
 )
 def test_constructor_errors(rows, message):
@@ -65,7 +67,11 @@ def test_constructor_errors(rows, message):
 
 def test_parse_trims_trivial_partitions():
     assert parse("111,111,21,3") == parse("111,111,21")
-    assert parse("111,111,21,3", trim=False).npart == 4
+    assert parse("1,1,1") == parse("1") == SpectralType([(1,)])
+    assert parse("2,11,2").partitions == ((1, 1),)
+    assert SpectralType([(1, 1, 1), (1, 1, 1), (2, 1), (3,)]).npart == 4
+    with pytest.raises(SpectralTypeError, match=r"different sums: \[3, 4\]"):
+        parse("3,4")
 
 
 def test_text_roundtrip():
@@ -74,7 +80,7 @@ def test_text_roundtrip():
 
 
 def test_canonicalize_drops_trivial():
-    m = parse("111,111,21,3", trim=False)
+    m = SpectralType([(1, 1, 1), (1, 1, 1), (2, 1), (3,)])
     c = canonicalize(m)
     assert c == parse("21,111,111")
     assert is_canonical(c)
@@ -85,7 +91,7 @@ def test_canonicalize_sorts():
 
 
 def test_canonicalize_zero_removal_to_unit():
-    raw = SpectralType(((0, 1), (0, 1), (0, 1)), trim=False)
+    raw = SpectralType(((0, 1), (0, 1), (0, 1)))
     assert canonicalize(raw) == parse("1")
 
 
@@ -107,7 +113,7 @@ def test_idx_examples():
 
 def test_idx_pads_with_trivial_partitions():
     a = parse("11,11,11")
-    b = parse("11,11,11,2", trim=False)
+    b = SpectralType([(1, 1)] * 3 + [(2,)])
     assert idx(a, a) == idx(b, b) == idx(a, b)
 
 
@@ -122,8 +128,8 @@ def test_scale_add_scaling():
 
 
 def test_scale_add_units():
-    a = SpectralType(((0, 1), (1, 0), (1, 0)), trim=False)
-    b = SpectralType(((1, 0), (0, 1), (0, 1)), trim=False)
+    a = SpectralType(((0, 1), (1, 0), (1, 0)))
+    b = SpectralType(((1, 0), (0, 1), (0, 1)))
     s = scale_add(1, a, 1, b)
     assert s == parse("11,11,11")
     assert idx(a.strip_zeros()) == 2
@@ -144,7 +150,7 @@ def test_gcd():
     assert gcd_of(parse("22,22,22")) == 2
     assert gcd_of(parse("211,211,1111")) == 1
     assert gcd_of(parse("1")) == 1
-    assert divide(parse("22,22,22"), 2) == parse("11,11,11", trim=False)
+    assert divide(parse("22,22,22"), 2) == parse("11,11,11")
 
 
 def test_dominance():
@@ -176,9 +182,7 @@ def random_partition(rng, n):
 def random_tuple(rng, max_order=8, max_rows=4):
     n = rng.randint(1, max_order)
     rows = rng.randint(1, max_rows)
-    return SpectralType(
-        (random_partition(rng, n) for _ in range(rows)), trim=False
-    )
+    return SpectralType(random_partition(rng, n) for _ in range(rows))
 
 
 def test_idx_symmetry_and_bilinearity_random():
@@ -186,9 +190,9 @@ def test_idx_symmetry_and_bilinearity_random():
     for _ in range(500):
         n = rng.randint(1, 8)
         rows = rng.randint(1, 4)
-        a = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
-        b = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
-        c = SpectralType((random_partition(rng, n) for _ in range(rows)), trim=False)
+        a = SpectralType((random_partition(rng, n) for _ in range(rows)))
+        b = SpectralType((random_partition(rng, n) for _ in range(rows)))
+        c = SpectralType((random_partition(rng, n) for _ in range(rows)))
         assert idx(a, b) == idx(b, a)
         # align columns by zero padding before adding
         padded = []
@@ -200,7 +204,7 @@ def test_idx_symmetry_and_bilinearity_random():
                     q + (0,) * (width - len(q)),
                 )
             )
-        a_pad = SpectralType((r[0] for r in padded), trim=False)
-        c_pad = SpectralType((r[1] for r in padded), trim=False)
+        a_pad = SpectralType((r[0] for r in padded))
+        c_pad = SpectralType((r[1] for r in padded))
         s = scale_add(1, a_pad, 1, c_pad)
         assert idx(s, b) == idx(a, b) + idx(c, b)
